@@ -89,6 +89,12 @@ def _sparse_diff_instance(rng, bits, a):
     return p * (p + a), p, p + a
 
 
+# Half the requests are sparsediff, whose latencies form the narrowest group
+# in the middle of the mix: p50 lies inside it, with the fast classic group
+# below and the broad xfermat group spread on either side.
+_SCAN_BLOCK = ("fermat", "sparsediff", "xfermat", "sparsediff")
+
+
 def _scan_plan(rng, small):
     if small:
         x_bits, x_k, x_v, x_t, x_idx = 40, 3, 10, 40, (20, 60)
@@ -112,7 +118,7 @@ def _scan_plan(rng, small):
             "xfermat", ref["n"], ref["p"], ref["q"],
             ["--method", "xfermat", "--workers", "1", *ref["flags"]]))
     while len(requests) < count:
-        kind = ("xfermat", "fermat", "sparsediff")[len(requests) % 3]
+        kind = _SCAN_BLOCK[len(requests) % len(_SCAN_BLOCK)]
         if kind == "xfermat":
             while True:
                 idx = int(_log_between(next(x_u), *x_idx))

@@ -35,6 +35,8 @@ import tracer
 HERE = os.path.dirname(os.path.abspath(__file__))
 SETUP_PROBES = 9        # fresh imports besides the worker's own
 DEADLINE_S = 170        # the whole run, set-up included
+# worker.speed_probe's time at the reference host speed (a 2.1 GHz Xeon core)
+REFERENCE_PROBE_S = 0.006
 
 END_TO_END_UNITS = {
     "throughput_per_s": "1/s", "latency_p50_s": "s", "latency_tail_s": "s",
@@ -97,6 +99,11 @@ def latency_tail(latencies):
     n = len(ordered)
     idx = n - 11 if n > 10 else n - 1
     return ordered[idx], 100.0 * (idx + 1) / n, n - 1 - idx
+
+
+def at_reference_speed(latency, probe_s):
+    """A latency measured while the probe took probe_s, at reference speed."""
+    return latency * REFERENCE_PROBE_S / probe_s
 
 
 def check_results(plan, results, check):
@@ -216,9 +223,10 @@ def measure(root, workload, seed, seconds, trace, small=False, corrupt=None):
 
         check = checker.Checker(model)
         solved, failures = check_results(plan, results, check)
-        latencies = [r["latency"] for r in results]
+        raw = [r["latency"] for r in results]
+        latencies = [at_reference_speed(r["latency"], r["probe_s"]) for r in results]
         n = len(results)
-        busy = sum(latencies)
+        busy = sum(raw)
         report = {
             "workload": workload, "seed": seed, "inputs_sha256": digest,
             "attempted": n, "failed": len(failures), "failures": failures,
@@ -242,7 +250,7 @@ def measure(root, workload, seed, seconds, trace, small=False, corrupt=None):
         else:
             tail, pct, beyond = latency_tail(latencies)
             report["metrics"] = {
-                "throughput_per_s": n / busy,
+                "throughput_per_s": n / sum(latencies),
                 "latency_p50_s": statistics.median(latencies),
                 "latency_tail_s": tail,
                 "solved_frac": solved / n,
@@ -252,6 +260,9 @@ def measure(root, workload, seed, seconds, trace, small=False, corrupt=None):
             report["fail_frac"] = len(failures) / n
             report["tail"] = {"percentile": pct, "samples": n, "beyond": beyond}
             report["setup_samples"] = len(setups)
+            report["raw"] = {"throughput_per_s": n / busy,
+                             "latency_p50_s": statistics.median(raw),
+                             "host_speed": sum(latencies) / busy}
             report["counters"] = {"count.ops_reported": sum(
                 ops for per_req in reported[:prefix] for ops in per_req
                 if ops is not None)}
@@ -284,6 +295,10 @@ def _print_report(report, trace):
                 print(f"  {'fail_frac':18s} {report['fail_frac']:.6g} ratio "
                       f"({report['failed']} of {report['attempted']})")
         tail = report["tail"]
+        raw = report["raw"]
+        print(f"  host speed {raw['host_speed']:.4g} of the reference over the run; "
+              f"as measured, throughput_per_s {raw['throughput_per_s']:.6g} 1/s, "
+              f"latency_p50_s {raw['latency_p50_s']:.6g} s")
         print(f"  latency_tail_s is p{tail['percentile']:.1f} of {tail['samples']} "
               f"samples, {tail['beyond']} beyond it; setup_s is the median of "
               f"{report['setup_samples']} fresh imports")

@@ -43,6 +43,7 @@ def test_helpers_agree_with_definitions():
     assert level == stream
     assert run.latency_tail(list(range(100))) == (89, 90.0, 10)
     assert run.latency_tail([3, 1, 2]) == (3, 100.0, 0)
+    assert run.at_reference_speed(0.5, 2 * run.REFERENCE_PROBE_S) == 0.25
 
 
 @pytest.mark.parametrize("workload", inputs.WORKLOADS)
@@ -51,6 +52,7 @@ def test_checker_accepts_current_code(workload):
     assert report["attempted"] >= inputs.build(workload, 1, True)["prefix"]
     assert report["failed"] == 0, report["failures"]
     assert all(v > 0 for v in report["metrics"].values()), report["metrics"]
+    assert report["raw"]["host_speed"] > 0
 
 
 def _edit_json(call, edit):
@@ -67,8 +69,10 @@ def _corrupt_factor_results(plan, results):
     def tampered_witness(p):
         p["witness"]["x"] = str(int(p["witness"]["x"]) + 2)
 
+    fermat_family = next(i for i, r in enumerate(plan["requests"])
+                         if i > 0 and r["kind"] in ("fermat", "xfermat"))
     _edit_json(results[0]["calls"][0], wrong_factor)
-    _edit_json(results[1]["calls"][0], tampered_witness)
+    _edit_json(results[fermat_family]["calls"][0], tampered_witness)
 
 
 def _corrupt_audit_results(plan, results):
