@@ -10,6 +10,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     Certificate,
     FactorResult,
@@ -92,6 +94,91 @@ def perfect_square(n: int):
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+# The same four moduli drive the scan sieve.  SIEVE_MODULUS is their product:
+# reducing a value by it once keeps every residue exact at any size.
+_SIEVE_MODULI = (64, 63, 65, 11)
+SIEVE_MODULUS = 64 * 63 * 65 * 11
+# Longest run of consecutive x one sieve lookup covers.
+SIEVE_BLOCK = 4096
+
+
+def _square_flags_twice(m: int, mask: int) -> np.ndarray:
+    # entry r (r < 2m) says whether r mod m is a square modulo m
+    return np.array([(mask >> (r % m)) & 1 for r in range(2 * m)], dtype=bool)
+
+
+# Per modulus: i^2 mod m for i < m, and the doubled square flags.
+_SQUARES_OF = tuple(np.arange(m) ** 2 % m for m in _SIEVE_MODULI)
+_IS_SQUARE_TWICE = tuple(
+    _square_flags_twice(m, mask)
+    for m, mask in zip(_SIEVE_MODULI, (_MASK64, _MASK63, _MASK65, _MASK11)))
+
+
+class SquareSieve:
+    """Residue sieve for "is x*x - c a perfect square?" over runs of x.
+
+    Whether x^2 - c is a square modulo m depends only on x mod m, so one
+    small table per modulus, repeated out to m + SIEVE_BLOCK entries,
+    answers it for SIEVE_BLOCK consecutive x as one slice.  Since
+    (-x)^2 = x^2, the same slice taken at -x0 mod m covers x0, x0 - 1, ...
+    Like the filter in perfect_square the sieve never rejects a true
+    square: survivors still need the exact check, root().  Knuth, TAOCP
+    vol. 2, 4.5.4; McKee, "Speeding Fermat's factoring method", Math. Comp.
+    68 (1999).
+    """
+
+    def __init__(self, c: int):
+        self.c = c
+        tables = []
+        for m, squares, flags in zip(_SIEVE_MODULI, _SQUARES_OF,
+                                     _IS_SQUARE_TWICE):
+            shift = m - c % m
+            # period[i]: is (i^2 - c) mod m a square?
+            period = flags[shift:shift + m][squares]
+            table = np.empty((SIEVE_BLOCK // m + 2, m), dtype=bool)
+            table[:] = period
+            tables.append(table.ravel())
+        self._tables = tuple(tables)
+
+    def _run(self, x0: int, step: int, count: int) -> np.ndarray:
+        """Survival mask of x0 + step*j for j < count; step is +1 or -1."""
+        ok = None
+        for m, table in zip(_SIEVE_MODULI, self._tables):
+            start = step * x0 % m
+            part = table[start:start + count]
+            ok = part.copy() if ok is None else np.logical_and(ok, part, out=ok)
+        return ok
+
+    def ascending(self, x0: int, count: int) -> np.ndarray:
+        """Ascending j < count (at most SIEVE_BLOCK) where x0 + j survives."""
+        return np.flatnonzero(self._run(x0, 1, count))
+
+    def zigzag(self, x0: int, r0: int, rows: int) -> np.ndarray:
+        """Ascending i < 2*rows where the i-th element survives in the order
+        x0 - r0, x0 + r0 + 1, x0 - r0 - 1, x0 + r0 + 2, ...
+
+        With r0 = 0 this is x0, x0 + 1, x0 - 1, x0 + 2, ...: element 2j is
+        x0 - r0 - j and element 2j + 1 is x0 + r0 + 1 + j.  rows is at most
+        SIEVE_BLOCK.
+        """
+        ok = np.empty(2 * rows, dtype=bool)
+        ok[0::2] = self._run(x0 - r0, -1, rows)
+        ok[1::2] = self._run(x0 + r0 + 1, 1, rows)
+        return np.flatnonzero(ok)
+
+    def values(self, x_mod: np.ndarray) -> np.ndarray:
+        """Survival mask of x, given x mod SIEVE_MODULUS per value."""
+        ok = None
+        for m, table in zip(_SIEVE_MODULI, self._tables):
+            hit = table[x_mod % m]
+            ok = hit if ok is None else np.logical_and(ok, hit, out=ok)
+        return ok
+
+    def root(self, x: int):
+        """Exact y with y*y == x*x - c, or None."""
+        return perfect_square(x * x - self.c)
 
 
 def mod_pow(base: int, exp: int, m: int) -> int:

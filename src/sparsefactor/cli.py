@@ -117,12 +117,21 @@ def _budget_from(n: int, args) -> SearchBudget:
     return SearchBudget.default_for(n, **overrides)
 
 
+def _search_position(cert, budget: SearchBudget) -> tuple[int, int]:
+    # sparse-difference certificates carry the multiplier b; the others
+    # search one stream
+    w = cert.witness
+    mult = budget.multipliers.index(w["b"]) if "b" in w else 0
+    return mult, w.get("index", 0)
+
+
 def _fan_out(engine, n: int, budget: SearchBudget, workers: int) -> FactorResult:
     """Stride-partition the sparse stream across threads.
 
     Each partition is pure and runs to completion; the reduction keeps the
-    success with the minimal stream index, so any worker count reproduces
-    the single-threaded certificate.
+    success earliest in the engine's search order (multiplier position,
+    then stream index), so any worker count reproduces the single-threaded
+    certificate.
     """
     if workers <= 1:
         return engine(n, budget, None)
@@ -132,7 +141,7 @@ def _fan_out(engine, n: int, budget: SearchBudget, workers: int) -> FactorResult
         results = [f.result() for f in futures]
     hits = [r for r in results if r.factored]
     if hits:
-        return min(hits, key=lambda r: r.certificate.witness.get("index", 0))
+        return min(hits, key=lambda r: _search_position(r.certificate, budget))
     ops = sum(r.ops for r in results)
     for r in results:
         if r.status != STATUS_EXHAUSTED:

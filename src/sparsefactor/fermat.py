@@ -16,7 +16,7 @@ import math
 from typing import Optional
 
 from . import expansions
-from .arith import iroot, isqrt, isqrt_ceil, perfect_square, _MASK11, _MASK63, _MASK64, _MASK65
+from .arith import SIEVE_BLOCK, SquareSieve, iroot, isqrt, isqrt_ceil, perfect_square
 from .model import (
     Certificate,
     FactorResult,
@@ -33,21 +33,36 @@ from .model import (
 )
 
 
+# A classic scan's first block; blocks double up to SIEVE_BLOCK.
+_FIRST_BLOCK = 64
+
+
 def classic_fermat(n: int, max_steps: int) -> FactorResult:
-    """Forward scan for x^2 - n square; rejects the trivial split 1*n."""
+    """Forward scan for x^2 - n square; rejects the trivial split 1*n.
+
+    ops is the position of the hit in scan order, or the number of x
+    covered.  Blocks start small, so an early hit costs little, and never
+    reach past max_steps.
+    """
     if n % 2 == 0:
         raise ValueError("even input")
     if n < 3:
         return trivial_input()
-    x = isqrt_ceil(n)
+    x0 = isqrt_ceil(n)
+    sieve = SquareSieve(n)
     ops = 0
+    block = _FIRST_BLOCK
     while ops < max_steps:
-        ops += 1
-        y = perfect_square(x * x - n)
-        if y is not None and x - y > 1:
-            cert = Certificate(METHOD_CLASSIC_FERMAT, {"x": x, "y": y})
-            return factored(x - y, x + y, cert, ops)
-        x += 1
+        count = min(block, max_steps - ops)
+        for j in sieve.ascending(x0 + ops, count):
+            step = ops + int(j)
+            x = x0 + step
+            y = sieve.root(x)
+            if y is not None and x - y > 1:
+                cert = Certificate(METHOD_CLASSIC_FERMAT, {"x": x, "y": y})
+                return factored(x - y, x + y, cert, step + 1)
+        ops += count
+        block = min(2 * block, SIEVE_BLOCK)
     return exhausted(ops)
 
 
@@ -69,35 +84,30 @@ def sum_anchor(n: int, a: int) -> Optional[int]:
     return base + n // base
 
 
-def _offset_scan(n, four_n, anchor, t_max, ops_allowed):
+def _offset_scan(sieve, anchor, t_max, ops_allowed):
     """Probe x = anchor + t for t = 0, +1, -1, ... +-t_max.
 
-    Returns ((t, x, y), ops, capped).  Each probe evaluates one candidate
-    discriminant and counts as one op.
+    Returns ((t, x, y), ops, capped).  Each probe counts as one op, whether
+    the residue sieve or the exact check rejects it; ops is the position of
+    the hit, or the number of probes covered.
     """
-    ops = 0
-    m64, m63, m65, m11 = _MASK64, _MASK63, _MASK65, _MASK11
-    t = 0
-    while t <= t_max:
-        for x in ((anchor,) if t == 0 else (anchor + t, anchor - t)):
-            if ops >= ops_allowed:
-                return None, ops, True
-            ops += 1
+    total = 2 * t_max + 1
+    end = max(0, min(total, ops_allowed))
+    pos = 0
+    while pos < end:
+        rows = min(SIEVE_BLOCK, (end - pos + 1) // 2)
+        for i in sieve.zigzag(anchor, pos // 2, rows):
+            probe = pos + int(i)
+            if probe >= end:
+                break
+            x = anchor + (probe + 1) // 2 if probe % 2 else anchor - probe // 2
             if x < 2:
                 continue
-            v = x * x - four_n
-            if v < 0:
-                continue
-            if not (m64 >> (v & 63)) & 1:
-                continue
-            if not (m63 >> (v % 63)) & 1 or not (m65 >> (v % 65)) & 1 \
-                    or not (m11 >> (v % 11)) & 1:
-                continue
-            y = math.isqrt(v)
-            if y * y == v and x - y > 2:
-                return (x - anchor, x, y), ops, False
-        t += 1
-    return None, ops, False
+            y = sieve.root(x)
+            if y is not None and x - y > 2:
+                return (x - anchor, x, y), probe + 1, False
+        pos += 2 * rows
+    return None, end, end < total
 
 
 def extended_fermat_offset(n: int, a: int, t_max: int) -> FactorResult:
@@ -107,7 +117,7 @@ def extended_fermat_offset(n: int, a: int, t_max: int) -> FactorResult:
     anchor = sum_anchor(n, a)
     if anchor is None:
         return exhausted(0)
-    hit, ops, _ = _offset_scan(n, 4 * n, anchor, t_max, 1 << 62)
+    hit, ops, _ = _offset_scan(SquareSieve(4 * n), anchor, t_max, 1 << 62)
     if hit is None:
         return exhausted(ops)
     t, x, y = hit
@@ -131,7 +141,7 @@ def extended_fermat_sparse(n: int, budget: SearchBudget,
     start, stride = partition or (0, 1)
     s0 = isqrt(n)
     f0 = iroot(n, 4)
-    four_n = 4 * n
+    sieve = SquareSieve(4 * n)
     ops = 0
     for idx, a_val in expansions.stream_slice(budget.k, budget.v_max, True,
                                               start, stride):
@@ -141,7 +151,7 @@ def extended_fermat_sparse(n: int, budget: SearchBudget,
         if base <= 0:
             continue
         anchor = base + n // base
-        hit, used, capped = _offset_scan(n, four_n, anchor, budget.t_max,
+        hit, used, capped = _offset_scan(sieve, anchor, budget.t_max,
                                          budget.op_cap - ops)
         ops += used
         if hit is not None:

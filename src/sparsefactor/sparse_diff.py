@@ -9,11 +9,14 @@ evaluated discriminant counts as one square test against the op cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional
 
+import numpy as np
+
 from . import expansions
-from .arith import is_probable_prime, perfect_square
+from .arith import SIEVE_MODULUS, SquareSieve, is_probable_prime, isqrt_ceil, perfect_square
 from .model import (
     Certificate,
     FactorResult,
@@ -28,6 +31,9 @@ from .model import (
 
 # (sign of aU, sign of bN) in the fixed probe order.
 SIGN_PATTERNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+# Values taken from the stream per sieve call.
+_CHUNK = 2048
 
 
 def discriminant_root(a: int, b: int, n: int, sign: int) -> Optional[int]:
@@ -66,7 +72,13 @@ def roots_from_discriminant(a: int, b: int, n: int, sign: int,
 
 def sparse_difference_factor(n: int, budget: SearchBudget,
                              partition: Optional[tuple[int, int]] = None) -> FactorResult:
-    """Double loop over multipliers b and canonical positive sparse a."""
+    """Double loop over multipliers b and canonical positive sparse a.
+
+    Each a evaluates the patterns of SIGN_PATTERNS whose discriminant is
+    nonnegative, one op each: four when a^2 >= 4bN, else the two (., -1).
+    The (-1, .) patterns repeat the discriminants of (1, .) and recover the
+    same roots, so they are counted but never tested.
+    """
     if n < 3:
         return trivial_input()
     if n % 2 == 0:
@@ -75,30 +87,50 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
     if is_probable_prime(n, budget.seed):
         return probable_prime()
     start, stride = partition or (0, 1)
+    cap = budget.op_cap
     ops = 0
     for b in budget.multipliers:
         four_bn = 4 * b * n
-        for idx, a in expansions.stream_slice(budget.k, budget.v_max, False,
-                                              start, stride):
-            a_sq = a * a
-            for sign_a, sign_bn in SIGN_PATTERNS:
-                disc = a_sq - four_bn if sign_bn > 0 else a_sq + four_bn
-                if disc < 0:
-                    continue
-                if ops >= budget.op_cap:
-                    return exhausted(ops)
-                ops += 1
-                r = perfect_square(disc)
-                if r is None:
-                    continue
-                hit = _extract(a, r, n)
-                if hit is None:
-                    continue
-                p, q, u = hit
-                digits = [[s, e] for s, e in expansions.naf(a).terms]
-                cert = Certificate(
-                    METHOD_SPARSE_DIFFERENCE,
-                    {"a": a, "digits": digits, "b": b, "sign_a": sign_a,
-                     "sign_bn": sign_bn, "u": u, "index": idx})
-                return factored(p, q, cert, ops)
+        below = SquareSieve(four_bn)    # a^2 - 4bN, sign_bn = +1
+        above = SquareSieve(-four_bn)   # a^2 + 4bN, sign_bn = -1
+        a_min = isqrt_ceil(four_bn)     # a^2 >= 4bN  <=>  a >= a_min
+        stream = expansions.stream_slice(budget.k, budget.v_max, False,
+                                         start, stride)
+        while True:
+            if ops >= cap:
+                return exhausted(ops)
+            # every value costs at least two ops: take none past the cap
+            chunk = list(itertools.islice(
+                stream, min(_CHUNK, (cap - ops + 1) // 2)))
+            if not chunk:
+                break
+            # object arrays keep values past int64 exact
+            values = np.array([a for _, a in chunk], dtype=object)
+            a_mod = (values % SIEVE_MODULUS).astype(np.int64)
+            wide = values >= a_min
+            cost = np.where(wide, 4, 2)
+            first_op = ops + np.cumsum(cost) - cost + 1
+            minus = below.values(a_mod) & wide
+            plus = above.values(a_mod)
+            for i in np.flatnonzero(minus | plus):
+                idx, a = chunk[i]
+                for sieve, sign_bn, op, passed in (
+                        (below, 1, first_op[i], minus[i]),
+                        (above, -1, first_op[i] + wide[i], plus[i])):
+                    if not passed:
+                        continue
+                    if op > cap:
+                        return exhausted(cap)
+                    r = sieve.root(a)
+                    hit = None if r is None else _extract(a, r, n)
+                    if hit is None:
+                        continue
+                    p, q, u = hit
+                    digits = [[s, e] for s, e in expansions.naf(a).terms]
+                    cert = Certificate(
+                        METHOD_SPARSE_DIFFERENCE,
+                        {"a": a, "digits": digits, "b": b, "sign_a": 1,
+                         "sign_bn": sign_bn, "u": u, "index": idx})
+                    return factored(p, q, cert, int(op))
+            ops = min(ops + int(cost.sum()), cap)
     return exhausted(ops)

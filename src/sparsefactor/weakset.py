@@ -38,6 +38,13 @@ from .model import (
 _CLASS_IDS = frozenset("abcdfg")
 
 
+def default_smoothness_bound(bits: int) -> int:
+    """Class-a smoothness bound for a `bits`-bit N, shared by generator and
+    audit.  A fixed bound is vacuous at toy scale (every tiny p-1 is
+    smooth), so it scales with the input, up to 2^16."""
+    return min(1 << 16, 1 << max(2, bits // 8))
+
+
 @dataclass(frozen=True)
 class WeakClassSpec:
     """Parameters for one weak class; unused fields are ignored."""
@@ -45,7 +52,7 @@ class WeakClassSpec:
     class_id: str
     k: int = 3                      # sparse weight cap (c/d/f/g)
     v_max: Optional[int] = None     # sparse exponent cap; bits-derived default
-    smoothness_bound: int = 1 << 16  # class a
+    smoothness_bound: Optional[int] = None  # class a; None: size default
     eps_num: int = 1                # class c: |a| <= N^(num/den)
     eps_den: int = 8
 
@@ -211,7 +218,10 @@ def _gen_f(rng, bits, spec):
 
 def _gen_a(rng, bits, spec):
     half = bits // 2
-    primes = small_primes(min(spec.smoothness_bound, 1 << 16))
+    # an N that comes out shorter than `bits` may audit with a lower
+    # default bound; generate_weak's audit then rejects it and retries
+    primes = small_primes(spec.smoothness_bound
+                          or default_smoothness_bound(bits))
     for _ in range(200):
         prod = 2
         while prod.bit_length() < half - 1:
@@ -341,9 +351,7 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
     if budget is None:
         budget = SearchBudget.default_for(n)
     if smoothness_bound is None:
-        # a fixed bound is vacuous at toy scale (every tiny p-1 is smooth),
-        # so the practical default scales with the input
-        smoothness_bound = min(1 << 16, 1 << max(2, n.bit_length() // 8))
+        smoothness_bound = default_smoothness_bound(n.bit_length())
 
     if factors is None:
         return _audit_blind(n, budget, smoothness_bound, eps)
@@ -416,15 +424,17 @@ def _audit_blind(n, budget, smoothness_bound, eps):
                                t_max=capped.t_max,
                                multipliers=capped.multipliers,
                                op_cap=capped.op_cap, seed=capped.seed)
+    # whichever engine splits n, only the known-factor audit decides the
+    # classes: a BSGS or multiplier split says nothing about q - p
     attempts = [
-        ("b", lambda: fermat.classic_fermat(n, min(capped.t_max, 1 << 12))),
-        ("g", lambda: sparse_diff.sparse_difference_factor(n, diff_budget)),
-        ("d", lambda: fermat.extended_fermat_sparse(n, capped)),
-        ("a", lambda: pollard_pm1(n, min(smoothness_bound, 100_000))),
+        lambda: fermat.classic_fermat(n, min(capped.t_max, 1 << 12)),
+        lambda: sparse_diff.sparse_difference_factor(n, diff_budget),
+        lambda: fermat.extended_fermat_sparse(n, capped),
+        lambda: pollard_pm1(n, min(smoothness_bound, 100_000)),
     ]
     if n < 1 << 56:  # keep the baby-step table desk-sized
-        attempts.append(("b", lambda: _bsgs_guarded(n)))
-    for label, run in attempts:
+        attempts.append(lambda: _bsgs_guarded(n))
+    for run in attempts:
         try:
             result = run()
         except (ValueError, LowOrderBaseError):
@@ -435,7 +445,7 @@ def _audit_blind(n, budget, smoothness_bound, eps):
             witnesses = dict(report.witnesses)
             witnesses["meta"] = dict(witnesses.get("meta", {}))
             witnesses["meta"]["detected_by"] = result.certificate.method
-            return WeakClassReport(report.classes | {label}, witnesses, budget)
+            return WeakClassReport(report.classes, witnesses, budget)
     return WeakClassReport(frozenset(),
                            {"meta": {"note": "not detected under budget"}},
                            budget)

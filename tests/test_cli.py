@@ -180,3 +180,31 @@ def test_workers_reproduce_certificates(capsys):
 def test_usage_error_exit(capsys):
     assert cli.main(["factor"]) == 64
     assert cli.main([]) == 64
+
+
+def test_workers_reduce_on_multiplier_then_index(capsys):
+    # multiplier b = 1 hits at stream index 499 and b = 2 at index 0: the
+    # engine searches b before index, so every worker count keeps b = 1
+    witnesses = []
+    for workers in ("1", "2"):
+        code, out, _ = run_cli(capsys, "factor", "140462769807361",
+                               "--method", "sparsediff", "--multipliers",
+                               "1,2", "--k", "2", "--vmax", "28",
+                               "--workers", workers, "--json")
+        assert code == 0
+        witnesses.append(json.loads(out)["witness"])
+    assert witnesses[0]["b"] == "1" and witnesses[0]["index"] == 499
+    assert witnesses[1] == witnesses[0]
+
+
+def test_generated_class_a_audits_back_by_default(capsys, tmp_path):
+    # the generator and the default audit share one size-derived bound
+    corpus = tmp_path / "a120.txt"
+    code, _, _ = run_cli(capsys, "generate", "--class", "a", "--bits", "120",
+                         "--count", "5", "--seed", "3", "--out", str(corpus))
+    assert code == 0
+    code, out, _ = run_cli(capsys, "audit", "--in", str(corpus), "--json")
+    assert code == 0
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(reports) == 5
+    assert all("a" in r["classes"] for r in reports)

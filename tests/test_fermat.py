@@ -125,6 +125,17 @@ def test_sum_approximation_guarantee():
         assert gap < 2 * f0
 
 
+def test_extended_sparse_reference_counters():
+    # deterministic counters of the 49-bit reference fixture: ops is the
+    # number of probes in canonical order, sieved or not
+    r = fermat.extended_fermat_sparse(EX_N, SearchBudget(k=5, v_max=12,
+                                                         t_max=1642))
+    assert r.factors == (EX_P, EX_Q)
+    assert r.ops == 9_435_198
+    assert r.certificate.witness["index"] == 2903
+    assert r.certificate.witness["t"] == 339
+
+
 def test_extended_sparse_small():
     r = fermat.extended_fermat_sparse(10403, SearchBudget(k=1, v_max=3, t_max=8))
     assert r.factors == (101, 103)

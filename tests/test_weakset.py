@@ -244,3 +244,14 @@ def test_alpha_measurement_reported():
     n, p = 448316072600119, 15402707
     expect = (math.log2(isqrt(n) - p) - math.log2(iroot(n, 4))) / math.log2(n)
     assert abs(alpha - expect) < 1e-9
+
+
+def test_audit_blind_reports_only_confirmed_classes():
+    # q - p > 2^20 is far beyond N^(1/4) = 3365, so class b does not hold,
+    # although BSGS (the class-b engine) is what splits this N
+    n, p, q = 128306122089773, 8725039, 14705507
+    assert p * q == n and q - p > iroot(n, 4)
+    report = audit(n)
+    assert report.witnesses["meta"]["detected_by"] == "BsgsFermat"
+    assert report.classes == audit(n, (p, q)).classes
+    assert "b" not in report.classes
