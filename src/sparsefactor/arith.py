@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -231,15 +232,23 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
 
 
 def small_primes(limit: int):
-    """Primes <= limit by a plain sieve (desk-scale helper)."""
+    """Primes <= limit by a plain sieve (desk-scale helper).
+
+    Each call returns a fresh list; the sieve itself is cached per limit.
+    """
+    return list(_primes_upto(limit))
+
+
+@lru_cache(maxsize=16)
+def _primes_upto(limit: int) -> tuple[int, ...]:
     if limit < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return [i for i in range(2, limit + 1) if sieve[i]]
+    return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
 def _pollard_rho(n: int, rng: random.Random) -> int:

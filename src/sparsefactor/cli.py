@@ -71,6 +71,8 @@ class CorpusRecord:
         if not fields:
             raise ValueError("empty record")
         n = int(fields[0])
+        if n < 15:
+            raise ValueError(f"record N = {n} is below 15")
         p = q = None
         if len(fields) >= 3:
             p, q = int(fields[1]), int(fields[2])
@@ -482,7 +484,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # out-of-range arguments the parser cannot see: a budget field,
+        # an input the chosen engine does not take, a count of zero
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

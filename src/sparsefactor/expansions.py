@@ -12,10 +12,9 @@ their certificates, so this order is part of the package contract.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 
@@ -85,43 +84,74 @@ def cardinality_bound(k: int, v: int) -> int:
     return (2 * v) ** k
 
 
-@lru_cache(maxsize=64)
-def _level_values(w: int, v_max: int) -> tuple[int, ...]:
+def _weight_runs(w: int, v_max: int) -> Iterator[list[int]]:
     """Positive values of exact NAF weight w, exponents <= v_max, ascending.
 
-    Exponent combinations e_0 < e_1 < ... with gaps >= 2 are produced via the
-    bijection e_i = c_i + i over ascending combinations c; the leading digit
-    is +1 (value > 0) and the lower digits range over all sign patterns.
+    One run per leading exponent e.  A NAF led by 2^e lies in
+    (2^(e+1)/3, 2^(e+2)/3) (the NAF length bound), and these ranges are
+    disjoint for different e, so the runs in order of e are the whole
+    level in ascending order with no sort.  The run for e is 2^e minus,
+    then plus, each weight-(w-1) value with exponents <= e-2: the prefix of
+    the weight-(w-1) level up to leading exponent e-2, grown one run at a
+    time, so nothing is held beyond the values already produced.
     """
-    if w == 0:
-        return (0,)
-    if v_max - 2 * (w - 1) < 0:
-        return ()
-    out = []
-    for combo in itertools.combinations(range(v_max - w + 2), w):
-        exps = [c + i for i, c in enumerate(combo)]
-        top = 1 << exps[-1]
-        lowers = exps[:-1]
-        if not lowers:
-            out.append(top)
-            continue
-        for signs in itertools.product((1, -1), repeat=w - 1):
-            out.append(top + sum(s << e for s, e in zip(signs, lowers)))
-    out.sort()
-    return tuple(out)
+    if w == 1:
+        for e in range(v_max + 1):
+            yield [1 << e]
+        return
+    lower = _weight_runs(w - 1, v_max - 2)
+    prefix: list[int] = []
+    for e in range(2 * (w - 1), v_max + 1):
+        prefix += next(lower)
+        top = 1 << e
+        yield [top - x for x in reversed(prefix)] + [top + x for x in prefix]
+
+
+def _max_weight(k: int, v_max: int) -> int:
+    # weight w needs exponents 0, 2, ..., 2(w-1) <= v_max
+    return min(k, v_max // 2 + 1)
+
+
+def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[list[int]]:
+    """The canonical stream cut into consecutive ascending runs."""
+    if signed:
+        yield [0]
+    for w in range(1, _max_weight(k, v_max) + 1):
+        for run in _weight_runs(w, v_max):
+            if signed:
+                both = [0] * (2 * len(run))
+                both[::2] = run
+                both[1::2] = [-x for x in run]
+                run = both
+            yield run
+
+
+def _slice_runs(k: int, v_max: int, signed: bool, start: int,
+                stride: int) -> Iterator[tuple[int, list[int]]]:
+    """(index, values) for each run's share of the partition (start, stride).
+
+    values holds the stream elements at indices index, index + stride, ...
+    that fall inside the run; runs with no such element are skipped.
+    """
+    if start < 0 or stride < 1:
+        raise ValueError("need start >= 0 and stride >= 1")
+    base = 0
+    for run in _stream_runs(k, v_max, signed):
+        end = base + len(run)
+        if end > start:
+            j0 = start - base if base <= start else (start - base) % stride
+            part = run[j0::stride]
+            if part:
+                yield base + j0, part
+        base = end
 
 
 def sparse_values(k: int, v_max: int, signed: bool) -> Iterator[int]:
     """Canonical value stream; the integer backbone of enumerate_sparse."""
     if k < 1 or v_max < 0:
         raise ValueError("need k >= 1 and v_max >= 0")
-    if signed:
-        yield 0
-    for w in range(1, k + 1):
-        for val in _level_values(w, v_max):
-            yield val
-            if signed:
-                yield -val
+    for run in _stream_runs(k, v_max, signed):
+        yield from run
 
 
 def enumerate_sparse(k: int, v_max: int,
@@ -129,41 +159,22 @@ def enumerate_sparse(k: int, v_max: int,
     """Every canonical SparseInt with weight <= k and exponents <= v_max.
 
     Emitted exactly once each, ordered by (weight, |value|, sign with
-    positive first).  Element i is a pure function of (k, v_max, i); see
-    sparse_value_at for direct indexing.
+    positive first).  Element i is a pure function of (k, v_max, i);
+    stream_slice draws any stride partition of the stream.
     """
     for val in sparse_values(k, v_max, include_negative_values):
         yield naf(val)
 
 
 def stream_length(k: int, v_max: int, signed: bool) -> int:
-    """Exact number of stream elements for the given parameters."""
-    total = 1 if signed else 0
-    mult = 2 if signed else 1
-    for w in range(1, k + 1):
-        total += mult * len(_level_values(w, v_max))
-    return total
+    """Exact number of stream elements for the given parameters.
 
-
-def sparse_value_at(k: int, v_max: int, signed: bool, index: int) -> int:
-    """Random access into the canonical stream (used by partitioned search)."""
-    if index < 0:
-        raise IndexError(index)
-    if signed:
-        if index == 0:
-            return 0
-        index -= 1
-    mult = 2 if signed else 1
-    for w in range(1, k + 1):
-        level = _level_values(w, v_max)
-        span = mult * len(level)
-        if index < span:
-            val = level[index // mult]
-            if signed and index % 2:
-                val = -val
-            return val
-        index -= span
-    raise IndexError("index beyond stream end")
+    Weight w has C(v_max - w + 2, w) exponent sets with gaps >= 2 and
+    2^(w-1) sign patterns below a leading +1.
+    """
+    positive = sum(math.comb(v_max - w + 2, w) << (w - 1)
+                   for w in range(1, _max_weight(k, v_max) + 1))
+    return 2 * positive + 1 if signed else positive
 
 
 def stream_slice(k: int, v_max: int, signed: bool, start: int,
@@ -172,30 +183,13 @@ def stream_slice(k: int, v_max: int, signed: bool, start: int,
 
     Pure in (k, v_max, start, stride): concatenating the stride-partitions
     reproduces the full stream, which is what makes worker fan-out safe.
-    Weight levels are materialized only when the scan reaches them, so a
-    capped search against a huge nominal grid stays cheap.
+    Values are produced lazily, one run of a weight level at a time, so a
+    capped search against a huge nominal grid stays cheap: the first value
+    of any level costs O(1), and no level is ever held in full, only the
+    current run and the lower-weight prefix it is built from.
     """
-    if start < 0 or stride < 1:
-        raise ValueError("need start >= 0 and stride >= 1")
-    idx = start
-    offset = 0
-    if signed:
-        if idx == 0:
-            yield 0, 0
-            idx += stride
-        offset = 1
-    mult = 2 if signed else 1
-    for w in range(1, k + 1):
-        level = _level_values(w, v_max)
-        span = mult * len(level)
-        while idx - offset < span:
-            j = idx - offset
-            val = level[j // mult]
-            if signed and j % 2:
-                val = -val
-            yield idx, val
-            idx += stride
-        offset += span
+    for index, part in _slice_runs(k, v_max, signed, start, stride):
+        yield from zip(range(index, index + len(part) * stride, stride), part)
 
 
 def naf_weight_stats(bits: int, samples: int, seed: int) -> tuple[float, float]:

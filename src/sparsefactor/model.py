@@ -116,8 +116,9 @@ class SearchBudget:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.v_max < 1 or self.op_cap < 1:
-            raise ValueError("budget requires k >= 1, v_max >= 1, op_cap >= 1")
+        if self.k < 1 or self.v_max < 1 or self.t_max < 0 or self.op_cap < 1:
+            raise ValueError("budget requires k >= 1, v_max >= 1, t_max >= 0, "
+                             "op_cap >= 1")
 
     @classmethod
     def default_for(cls, n: int, **overrides) -> "SearchBudget":

@@ -9,7 +9,7 @@ evaluated discriminant counts as one square test against the op cap.
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from typing import Optional
 
@@ -70,6 +70,28 @@ def roots_from_discriminant(a: int, b: int, n: int, sign: int,
     return (p, q) if p <= q else (q, p)
 
 
+def _chunks(parts, stride: int):
+    """(values, marks) in chunks of _CHUNK values cut from a partition's runs.
+
+    Short runs are coalesced, so each chunk is one sieve call whatever the
+    run lengths.  marks holds (chunk position, stream index) where each run
+    piece starts; the indices in between step by stride.
+    """
+    chunk, marks = [], []
+    for index, part in parts:
+        pos = 0
+        while pos < len(part):
+            piece = part[pos:pos + _CHUNK - len(chunk)]
+            marks.append((len(chunk), index + pos * stride))
+            chunk += piece
+            pos += len(piece)
+            if len(chunk) == _CHUNK:
+                yield chunk, marks
+                chunk, marks = [], []
+    if chunk:
+        yield chunk, marks
+
+
 def sparse_difference_factor(n: int, budget: SearchBudget,
                              partition: Optional[tuple[int, int]] = None) -> FactorResult:
     """Double loop over multipliers b and canonical positive sparse a.
@@ -94,18 +116,16 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
         below = SquareSieve(four_bn)    # a^2 - 4bN, sign_bn = +1
         above = SquareSieve(-four_bn)   # a^2 + 4bN, sign_bn = -1
         a_min = isqrt_ceil(four_bn)     # a^2 >= 4bN  <=>  a >= a_min
-        stream = expansions.stream_slice(budget.k, budget.v_max, False,
-                                         start, stride)
-        while True:
+        parts = expansions._slice_runs(budget.k, budget.v_max, False,
+                                       start, stride)
+        for chunk, marks in _chunks(parts, stride):
             if ops >= cap:
                 return exhausted(ops)
-            # every value costs at least two ops: take none past the cap
-            chunk = list(itertools.islice(
-                stream, min(_CHUNK, (cap - ops + 1) // 2)))
-            if not chunk:
-                break
+            # every value costs at least two ops: sieve none past the cap
+            # (a chunk cut short here is the last before the cap)
+            chunk = chunk[:(cap - ops + 1) // 2]
             # object arrays keep values past int64 exact
-            values = np.array([a for _, a in chunk], dtype=object)
+            values = np.array(chunk, dtype=object)
             a_mod = (values % SIEVE_MODULUS).astype(np.int64)
             wide = values >= a_min
             cost = np.where(wide, 4, 2)
@@ -113,7 +133,7 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
             minus = below.values(a_mod) & wide
             plus = above.values(a_mod)
             for i in np.flatnonzero(minus | plus):
-                idx, a = chunk[i]
+                a = chunk[i]
                 for sieve, sign_bn, op, passed in (
                         (below, 1, first_op[i], minus[i]),
                         (above, -1, first_op[i] + wide[i], plus[i])):
@@ -126,11 +146,14 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
                     if hit is None:
                         continue
                     p, q, u = hit
+                    at, index = marks[
+                        bisect.bisect_right(marks, (i, math.inf)) - 1]
                     digits = [[s, e] for s, e in expansions.naf(a).terms]
                     cert = Certificate(
                         METHOD_SPARSE_DIFFERENCE,
                         {"a": a, "digits": digits, "b": b, "sign_a": 1,
-                         "sign_bn": sign_bn, "u": u, "index": idx})
+                         "sign_bn": sign_bn, "u": u,
+                         "index": index + (int(i) - at) * stride})
                     return factored(p, q, cert, int(op))
             ops = min(ops + int(cost.sum()), cap)
     return exhausted(ops)

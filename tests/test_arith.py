@@ -223,6 +223,14 @@ def test_small_primes():
     assert arith.small_primes(1) == []
 
 
+def test_small_primes_cached_but_fresh():
+    first = arith.small_primes(1 << 16)
+    assert len(first) == 6542 and first[-1] == 65521
+    first.append(0)  # callers own the list they get back
+    assert arith.small_primes(1 << 16)[-1] == 65521
+    assert arith.small_primes(1 << 16) is not arith.small_primes(1 << 16)
+
+
 def test_odd_integer_boundary_type():
     assert arith.OddInteger(10403).value == 10403
     with pytest.raises(ValueError):

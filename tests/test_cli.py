@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sparsefactor import cli
 from sparsefactor.model import result_from_dict, verify_certificate
 
@@ -180,6 +182,25 @@ def test_workers_reproduce_certificates(capsys):
 def test_usage_error_exit(capsys):
     assert cli.main(["factor"]) == 64
     assert cli.main([]) == 64
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["factor", "100", "--method", "fermat"], 64),
+    (["factor", "100", "--method", "bsgs"], 64),
+    (["factor", "10403", "--budget", "0"], 64),
+    (["factor", "10403", "--method", "xfermat", "--tmax", "-5"], 64),
+    (["generate", "--class", "b", "--bits", "64", "--count", "0"], 64),
+    (["audit", "--in", "{corpus}"], 66),
+])
+def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
+    corpus = tmp_path / "small.txt"
+    corpus.write_text("10403,101,103\n9\n")  # N = 9 is below the auditor's 15
+    argv = [a.format(corpus=corpus) for a in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out == ""
 
 
 def test_workers_reduce_on_multiplier_then_index(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -11,7 +12,6 @@ from sparsefactor.expansions import (
     enumerate_sparse,
     naf,
     naf_weight_stats,
-    sparse_value_at,
     sparse_values,
     stream_length,
     stream_slice,
@@ -149,9 +149,6 @@ def test_stream_contains_reference_coefficient():
 def test_stream_indexing_and_partitions():
     for signed in (False, True):
         full = list(sparse_values(3, 8, signed))
-        assert [sparse_value_at(3, 8, signed, i) for i in range(len(full))] == full
-        with pytest.raises(IndexError):
-            sparse_value_at(3, 8, signed, len(full))
         # contiguous split
         m = len(full) // 3
         head = [v for _, v in stream_slice(3, 8, signed, 0, 1)][:m]
@@ -162,6 +159,72 @@ def test_stream_indexing_and_partitions():
             for i, v in stream_slice(3, 8, signed, w, 3):
                 merged[i] = v
         assert [merged[i] for i in range(len(full))] == full
+
+
+def _sorted_levels(k, v, signed):
+    # reference: every exponent set with gaps >= 2 under a leading
+    # +1 and every sign pattern below it, then one sort per weight level
+    out = [0] if signed else []
+    for w in range(1, k + 1):
+        level = []
+        for combo in itertools.combinations(range(v - w + 2), w):
+            exps = [c + i for i, c in enumerate(combo)]
+            for signs in itertools.product((1, -1), repeat=w - 1):
+                level.append((1 << exps[-1])
+                             + sum(s << e for s, e in zip(signs, exps)))
+        for val in sorted(level):
+            out += [val, -val] if signed else [val]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_stream_order_matches_sorted_levels(k):
+    for v in range(16):
+        for signed in (False, True):
+            want = _sorted_levels(k, v, signed)
+            assert list(sparse_values(k, v, signed)) == want, (k, v, signed)
+            assert stream_length(k, v, signed) == len(want), (k, v, signed)
+
+
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("stride", [2, 5, 7, 64])
+def test_stride_partitions_across_runs_reassemble(signed, stride):
+    # runs of the (3, 11) stream hold 1 to 144 values, so every stride here
+    # puts partition elements on both sides of many run boundaries
+    full = list(sparse_values(3, 11, signed))
+    merged = {}
+    for start in range(stride):
+        part = list(stream_slice(3, 11, signed, start, stride))
+        assert [i for i, _ in part] == list(range(start, len(full), stride))
+        merged.update(part)
+    assert [merged[i] for i in range(len(full))] == full
+    # a partition may also start beyond its first stride
+    tail = list(stream_slice(3, 11, signed, len(full) - 3, stride))
+    assert tail[0] == (len(full) - 3, full[-3])
+
+
+def test_stream_length_closed_form_counts_stream():
+    for k, v in ((1, 0), (1, 9), (2, 2), (3, 4), (3, 17), (4, 20), (9, 7)):
+        for signed in (False, True):
+            assert stream_length(k, v, signed) == sum(
+                1 for _ in sparse_values(k, v, signed))
+    # weights 1, 2 and 3 at v = 129: 130, C(129, 2) * 2 and C(128, 3) * 4
+    assert stream_length(3, 129, False) == 130 + 16512 + 1365504
+
+
+def test_first_weight_three_value_is_cheap():
+    # the stream used to sort the whole weight-3 level at v = 257 (about
+    # 11M values, some 800 MiB) before yielding its first value
+    head = stream_length(2, 257, False)  # values of weight 1 and 2
+    stream = sparse_values(3, 257, False)
+    tracemalloc.start()
+    try:
+        first = next(itertools.islice(stream, head, None))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == 11 and weight(first) == 3
+    assert peak < 1 << 20
 
 
 def test_stream_counts_within_cardinality_bound():

@@ -84,6 +84,14 @@ def test_budget_defaults_base_two():
         SearchBudget(k=0, v_max=3, t_max=5)
 
 
+def test_budget_rejects_negative_t_max():
+    # a negative scan radius used to run as an empty scan: "Exhausted
+    # after 0 ops" instead of a usage error
+    with pytest.raises(ValueError):
+        SearchBudget(k=2, v_max=3, t_max=-5)
+    assert SearchBudget(k=2, v_max=3, t_max=0).t_max == 0
+
+
 def _round_trip(result, n):
     blob = result_to_json(result)
     back = result_from_json(blob)
