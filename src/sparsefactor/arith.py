@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -21,17 +20,6 @@ from .model import (
     exhausted,
     factored,
 )
-
-
-@dataclass(frozen=True)
-class OddInteger:
-    """A positive odd integer >= 3, validated once at the boundary."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value < 3 or self.value % 2 == 0:
-            raise ValueError("need an odd integer >= 3")
 
 
 def isqrt(n: int) -> int:

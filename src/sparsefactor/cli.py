@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,6 @@ from .model import (
     FactorResult,
     GenerationError,
     LowOrderBaseError,
-    STATUS_EXHAUSTED,
     STATUS_FACTORED,
     STATUS_PROBABLE_PRIME,
     SearchBudget,
@@ -119,38 +117,6 @@ def _budget_from(n: int, args) -> SearchBudget:
     return SearchBudget.default_for(n, **overrides)
 
 
-def _search_position(cert, budget: SearchBudget) -> tuple[int, int]:
-    # sparse-difference certificates carry the multiplier b; the others
-    # search one stream
-    w = cert.witness
-    mult = budget.multipliers.index(w["b"]) if "b" in w else 0
-    return mult, w.get("index", 0)
-
-
-def _fan_out(engine, n: int, budget: SearchBudget, workers: int) -> FactorResult:
-    """Stride-partition the sparse stream across threads.
-
-    Each partition is pure and runs to completion; the reduction keeps the
-    success earliest in the engine's search order (multiplier position,
-    then stream index), so any worker count reproduces the single-threaded
-    certificate.
-    """
-    if workers <= 1:
-        return engine(n, budget, None)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(engine, n, budget, (w, workers))
-                   for w in range(workers)]
-        results = [f.result() for f in futures]
-    hits = [r for r in results if r.factored]
-    if hits:
-        return min(hits, key=lambda r: _search_position(r.certificate, budget))
-    ops = sum(r.ops for r in results)
-    for r in results:
-        if r.status != STATUS_EXHAUSTED:
-            return r
-    return FactorResult(STATUS_EXHAUSTED, None, None, ops)
-
-
 def _bsgs_with_retries(n: int, seed: int) -> FactorResult:
     import random
     rng = random.Random(seed)
@@ -180,7 +146,7 @@ def _auto_cascade(n: int, budget: SearchBudget, args) -> FactorResult:
     result = sparse_difference_factor(n, quick)
     if result.factored:
         return result
-    result = _fan_out(extended_fermat_sparse, n, quick, args.workers)
+    result = extended_fermat_sparse(n, quick)
     if result.factored:
         return result
     if n < 1 << 56:
@@ -218,9 +184,9 @@ def cmd_factor(args) -> int:
     elif args.method == "fermat":
         result = classic_fermat(n, args.tmax or budget.t_max)
     elif args.method == "xfermat":
-        result = _fan_out(extended_fermat_sparse, n, budget, args.workers)
+        result = extended_fermat_sparse(n, budget)
     elif args.method == "sparsediff":
-        result = _fan_out(sparse_difference_factor, n, budget, args.workers)
+        result = sparse_difference_factor(n, budget)
     elif args.method == "bsgs":
         try:
             result = _bsgs_with_retries(n, budget.seed)
@@ -325,6 +291,8 @@ def cmd_audit(args) -> int:
 
 def cmd_density(args) -> int:
     xmax = args.xmax
+    if xmax < 1:
+        raise ValueError("--xmax must be >= 1")
     points = []
     x = 10_000
     while x <= xmax:
@@ -332,15 +300,17 @@ def cmd_density(args) -> int:
         x *= 10
     if not points:
         points = [xmax]
+    # every row is counted before the header is printed, so an --xmax the
+    # counting function rejects leaves nothing on stdout
     if args.kind == "fermat":
+        rows = [(x, *weakset.fermat_count(x)) for x in points]
         print(f"{'X':>12} {'F(X)':>10} {'B(X)':>10} {'F/B':>12}")
-        for x in points:
-            f, b, ratio = weakset.fermat_count(x)
+        for x, f, b, ratio in rows:
             print(f"{x:>12} {f:>10} {b:>10} {ratio:>12.6f}")
     else:
+        rows = [(x, weakset.romanoff_count(x)) for x in points]
         print(f"{'x':>12} {'R(x)':>10} {'R/x':>10}")
-        for x in points:
-            r = weakset.romanoff_count(x)
+        for x, r in rows:
             print(f"{x:>12} {r:>10} {r / x:>10.4f}")
     return EXIT_OK
 
@@ -444,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None,
                    help="random bases for the exponent method")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="ignored: the search runs in one thread")
     add_budget_flags(p)
     p.set_defaults(func=cmd_factor)
 

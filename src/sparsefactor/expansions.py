@@ -126,26 +126,6 @@ def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[list[int]]:
             yield run
 
 
-def _slice_runs(k: int, v_max: int, signed: bool, start: int,
-                stride: int) -> Iterator[tuple[int, list[int]]]:
-    """(index, values) for each run's share of the partition (start, stride).
-
-    values holds the stream elements at indices index, index + stride, ...
-    that fall inside the run; runs with no such element are skipped.
-    """
-    if start < 0 or stride < 1:
-        raise ValueError("need start >= 0 and stride >= 1")
-    base = 0
-    for run in _stream_runs(k, v_max, signed):
-        end = base + len(run)
-        if end > start:
-            j0 = start - base if base <= start else (start - base) % stride
-            part = run[j0::stride]
-            if part:
-                yield base + j0, part
-        base = end
-
-
 def sparse_values(k: int, v_max: int, signed: bool) -> Iterator[int]:
     """Canonical value stream; the integer backbone of enumerate_sparse."""
     if k < 1 or v_max < 0:
@@ -159,8 +139,7 @@ def enumerate_sparse(k: int, v_max: int,
     """Every canonical SparseInt with weight <= k and exponents <= v_max.
 
     Emitted exactly once each, ordered by (weight, |value|, sign with
-    positive first).  Element i is a pure function of (k, v_max, i);
-    stream_slice draws any stride partition of the stream.
+    positive first).  Element i is a pure function of (k, v_max, i).
     """
     for val in sparse_values(k, v_max, include_negative_values):
         yield naf(val)
@@ -175,21 +154,6 @@ def stream_length(k: int, v_max: int, signed: bool) -> int:
     positive = sum(math.comb(v_max - w + 2, w) << (w - 1)
                    for w in range(1, _max_weight(k, v_max) + 1))
     return 2 * positive + 1 if signed else positive
-
-
-def stream_slice(k: int, v_max: int, signed: bool, start: int,
-                 stride: int) -> Iterator[tuple[int, int]]:
-    """(index, value) pairs for indices start, start+stride, ...
-
-    Pure in (k, v_max, start, stride): concatenating the stride-partitions
-    reproduces the full stream, which is what makes worker fan-out safe.
-    Values are produced lazily, one run of a weight level at a time, so a
-    capped search against a huge nominal grid stays cheap: the first value
-    of any level costs O(1), and no level is ever held in full, only the
-    current run and the lower-weight prefix it is built from.
-    """
-    for index, part in _slice_runs(k, v_max, signed, start, stride):
-        yield from zip(range(index, index + len(part) * stride, stride), part)
 
 
 def naf_weight_stats(bits: int, samples: int, seed: int) -> tuple[float, float]:

@@ -126,25 +126,19 @@ def extended_fermat_offset(n: int, a: int, t_max: int) -> FactorResult:
     return factored((x - y) // 2, (x + y) // 2, cert, ops)
 
 
-def extended_fermat_sparse(n: int, budget: SearchBudget,
-                           partition: Optional[tuple[int, int]] = None) -> FactorResult:
-    """Iterate sparse coefficients a in canonical order, offset-scanning each.
-
-    The partition descriptor (start, stride) restricts the scan to stream
-    indices start, start+stride, ...; the full run is partition (0, 1).
-    """
+def extended_fermat_sparse(n: int, budget: SearchBudget) -> FactorResult:
+    """Iterate sparse coefficients a in canonical order, offset-scanning each."""
     if n < 3:
         return trivial_input()
     if n % 2 == 0:
         cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": 2})
         return factored(2, n // 2, cert, 0)
-    start, stride = partition or (0, 1)
     s0 = isqrt(n)
     f0 = iroot(n, 4)
     sieve = SquareSieve(4 * n)
     ops = 0
-    for idx, a_val in expansions.stream_slice(budget.k, budget.v_max, True,
-                                              start, stride):
+    for idx, a_val in enumerate(expansions.sparse_values(budget.k,
+                                                         budget.v_max, True)):
         if ops >= budget.op_cap:
             break
         base = s0 + a_val * f0

@@ -119,6 +119,9 @@ class SearchBudget:
         if self.k < 1 or self.v_max < 1 or self.t_max < 0 or self.op_cap < 1:
             raise ValueError("budget requires k >= 1, v_max >= 1, t_max >= 0, "
                              "op_cap >= 1")
+        if not self.multipliers or min(self.multipliers) < 1:
+            raise ValueError("budget requires one or more multipliers, "
+                             "each >= 1")
 
     @classmethod
     def default_for(cls, n: int, **overrides) -> "SearchBudget":

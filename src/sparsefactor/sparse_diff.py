@@ -9,7 +9,6 @@ evaluated discriminant counts as one square test against the op cap.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Optional
 
@@ -70,30 +69,28 @@ def roots_from_discriminant(a: int, b: int, n: int, sign: int,
     return (p, q) if p <= q else (q, p)
 
 
-def _chunks(parts, stride: int):
-    """(values, marks) in chunks of _CHUNK values cut from a partition's runs.
+def _chunks(runs):
+    """(index, values): the stream cut into chunks of _CHUNK values.
 
     Short runs are coalesced, so each chunk is one sieve call whatever the
-    run lengths.  marks holds (chunk position, stream index) where each run
-    piece starts; the indices in between step by stride.
+    run lengths; index is the stream index of values[0].
     """
-    chunk, marks = [], []
-    for index, part in parts:
+    index, chunk = 0, []
+    for run in runs:
         pos = 0
-        while pos < len(part):
-            piece = part[pos:pos + _CHUNK - len(chunk)]
-            marks.append((len(chunk), index + pos * stride))
+        while pos < len(run):
+            piece = run[pos:pos + _CHUNK - len(chunk)]
             chunk += piece
             pos += len(piece)
             if len(chunk) == _CHUNK:
-                yield chunk, marks
-                chunk, marks = [], []
+                yield index, chunk
+                index += _CHUNK
+                chunk = []
     if chunk:
-        yield chunk, marks
+        yield index, chunk
 
 
-def sparse_difference_factor(n: int, budget: SearchBudget,
-                             partition: Optional[tuple[int, int]] = None) -> FactorResult:
+def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
     """Double loop over multipliers b and canonical positive sparse a.
 
     Each a evaluates the patterns of SIGN_PATTERNS whose discriminant is
@@ -108,7 +105,6 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
         return factored(2, n // 2, cert, 0)
     if is_probable_prime(n, budget.seed):
         return probable_prime()
-    start, stride = partition or (0, 1)
     cap = budget.op_cap
     ops = 0
     for b in budget.multipliers:
@@ -116,9 +112,8 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
         below = SquareSieve(four_bn)    # a^2 - 4bN, sign_bn = +1
         above = SquareSieve(-four_bn)   # a^2 + 4bN, sign_bn = -1
         a_min = isqrt_ceil(four_bn)     # a^2 >= 4bN  <=>  a >= a_min
-        parts = expansions._slice_runs(budget.k, budget.v_max, False,
-                                       start, stride)
-        for chunk, marks in _chunks(parts, stride):
+        runs = expansions._stream_runs(budget.k, budget.v_max, False)
+        for start, chunk in _chunks(runs):
             if ops >= cap:
                 return exhausted(ops)
             # every value costs at least two ops: sieve none past the cap
@@ -146,14 +141,12 @@ def sparse_difference_factor(n: int, budget: SearchBudget,
                     if hit is None:
                         continue
                     p, q, u = hit
-                    at, index = marks[
-                        bisect.bisect_right(marks, (i, math.inf)) - 1]
                     digits = [[s, e] for s, e in expansions.naf(a).terms]
                     cert = Certificate(
                         METHOD_SPARSE_DIFFERENCE,
                         {"a": a, "digits": digits, "b": b, "sign_a": 1,
                          "sign_bn": sign_bn, "u": u,
-                         "index": index + (int(i) - at) * stride})
+                         "index": start + int(i)})
                     return factored(p, q, cert, int(op))
             ops = min(ops + int(cost.sum()), cap)
     return exhausted(ops)

@@ -160,7 +160,8 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
         state = RunningExponent.fresh(n, base)
         abandoned = False
         for a_val in _nonneg_values(budget.k, budget.v_max):
-            for b_val in _signed_with_zero(budget.k, budget.v_max):
+            # B = 0 contributes the bare factor A*N
+            for b_val in expansions.sparse_values(budget.k, budget.v_max, True):
                 f = a_val * n + b_val
                 if -1 <= f <= 1:
                     continue
@@ -200,11 +201,6 @@ def _nonneg_values(k: int, v_max: int):
     # which scoops up small primes before any A*N + B factor is needed
     yield 0
     yield from expansions.sparse_values(k, v_max, False)
-
-
-def _signed_with_zero(k: int, v_max: int):
-    # B = 0 contributes the bare factor A*N
-    yield from expansions.sparse_values(k, v_max, True)
 
 
 def germain_factor(n: int, k_max: int, base: int = 2) -> FactorResult:

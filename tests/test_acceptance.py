@@ -2,6 +2,7 @@
 tolerance, one printed pass/fail line per criterion (run with -s to see
 them)."""
 
+import json
 import math
 import random
 import time
@@ -289,18 +290,18 @@ def test_criterion_8_engine_agreement_and_z_count():
                    f"representation counts agree through 2^16")
 
 
-def test_criterion_9_seeded_determinism():
+def test_criterion_9_seeded_determinism(capsys):
     fixtures = []
-
-    budget = SearchBudget(k=5, v_max=12, t_max=1642, seed=3)
-    for workers in (1, 4):
-        r = cli._fan_out(extended_fermat_sparse, EX_N, budget, workers)
-        fixtures.append(("xfermat", workers, r.factors, r.certificate))
-
-    b2 = SearchBudget(k=2, v_max=8, t_max=8, multipliers=(1,), seed=3)
-    for workers in (1, 4):
-        r = cli._fan_out(sparse_difference_factor, 15049, b2, workers)
-        fixtures.append(("sparsediff", workers, r.factors, r.certificate))
+    for argv in (
+            [str(EX_N), "--method", "xfermat", "--k", "5", "--vmax", "12",
+             "--tmax", "1642", "--seed", "3"],
+            ["15049", "--method", "sparsediff", "--k", "2", "--vmax", "8",
+             "--tmax", "8", "--multipliers", "1", "--seed", "3"]):
+        for workers in ("1", "4"):
+            cli.main(["factor", *argv, "--workers", workers, "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            fixtures.append((argv[2], workers, payload["p"], payload["q"],
+                             payload["method"], payload["witness"]))
 
     same_cert = (fixtures[0][2:] == fixtures[1][2:]
                  and fixtures[2][2:] == fixtures[3][2:])

@@ -229,11 +229,3 @@ def test_small_primes_cached_but_fresh():
     first.append(0)  # callers own the list they get back
     assert arith.small_primes(1 << 16)[-1] == 65521
     assert arith.small_primes(1 << 16) is not arith.small_primes(1 << 16)
-
-
-def test_odd_integer_boundary_type():
-    assert arith.OddInteger(10403).value == 10403
-    with pytest.raises(ValueError):
-        arith.OddInteger(100)
-    with pytest.raises(ValueError):
-        arith.OddInteger(1)

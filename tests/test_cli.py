@@ -165,18 +165,26 @@ def test_bench_fixture_suites(capsys):
     assert "trial" in out and "sparseexp" in out
 
 
-def test_workers_reproduce_certificates(capsys):
-    # ops counts partition-local probes; the certificate is what must match
+@pytest.mark.parametrize("argv,code,status", [
+    (["factor", "15049", "--method", "sparsediff", "--k", "2", "--vmax", "8",
+      "--seed", "1"], 0, "Factored"),
+    # the op cap bounds the whole search, not each worker's share of it
+    (["factor", "448316072600119", "--method", "xfermat", "--k", "5",
+      "--vmax", "12", "--tmax", "1642", "--budget", "5000000"], 1,
+     "Exhausted"),
+])
+def test_workers_reproduce_certificates(argv, code, status, capsys):
     outs = []
-    for workers in ("1", "4"):
-        code, out, _ = run_cli(capsys, "factor", "15049", "--method",
-                               "sparsediff", "--k", "2", "--vmax", "8",
-                               "--seed", "1", "--workers", workers, "--json")
-        assert code == 0
+    for workers in ("1", "2", "4"):
+        got, out, _ = run_cli(capsys, *argv, "--workers", workers, "--json")
+        assert got == code
         payload = json.loads(out)
-        outs.append({k: payload[k]
-                     for k in ("status", "p", "q", "method", "witness")})
-    assert outs[0] == outs[1]
+        del payload["elapsed_s"]
+        outs.append(payload)
+    assert outs[0]["status"] == status
+    assert outs[0] == outs[1] == outs[2]
+    if status == "Exhausted":
+        assert outs[0]["ops"] == 5_000_000
 
 
 def test_usage_error_exit(capsys):
@@ -191,6 +199,10 @@ def test_usage_error_exit(capsys):
     (["factor", "10403", "--method", "xfermat", "--tmax", "-5"], 64),
     (["generate", "--class", "b", "--bits", "64", "--count", "0"], 64),
     (["audit", "--in", "{corpus}"], 66),
+    (["factor", "10403", "--method", "sparsediff", "--multipliers", "0"], 64),
+    (["factor", "10403", "--method", "sparsediff", "--multipliers", "-1"], 64),
+    (["density", "--kind", "fermat", "--xmax", "0"], 64),
+    (["density", "--kind", "romanoff", "--xmax", "0"], 64),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     corpus = tmp_path / "small.txt"
@@ -201,6 +213,9 @@ def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out == ""
+    if "--multipliers" in argv:
+        # the budget names the bad field, not an isqrt() failure deep inside
+        assert "multiplier" in err
 
 
 def test_workers_reduce_on_multiplier_then_index(capsys):

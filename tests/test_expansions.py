@@ -14,7 +14,6 @@ from sparsefactor.expansions import (
     naf_weight_stats,
     sparse_values,
     stream_length,
-    stream_slice,
     value_of,
     weight,
 )
@@ -149,16 +148,13 @@ def test_stream_contains_reference_coefficient():
 def test_stream_indexing_and_partitions():
     for signed in (False, True):
         full = list(sparse_values(3, 8, signed))
-        # contiguous split
-        m = len(full) // 3
-        head = [v for _, v in stream_slice(3, 8, signed, 0, 1)][:m]
-        assert head == full[:m]
-        # stride partitions reassemble exactly
-        merged = {}
-        for w in range(3):
-            for i, v in stream_slice(3, 8, signed, w, 3):
-                merged[i] = v
-        assert [merged[i] for i in range(len(full))] == full
+        # element i of the SparseInt stream is the NAF of value i
+        assert [value_of(s) for s in enumerate_sparse(3, 8, signed)] == full
+        # the stream partitions into weight levels in order, so the stream
+        # for a smaller k is a prefix and an index does not depend on k
+        for k in (1, 2):
+            assert full[:stream_length(k, 8, signed)] \
+                == list(sparse_values(k, 8, signed))
 
 
 def _sorted_levels(k, v, signed):
@@ -184,23 +180,6 @@ def test_stream_order_matches_sorted_levels(k):
             want = _sorted_levels(k, v, signed)
             assert list(sparse_values(k, v, signed)) == want, (k, v, signed)
             assert stream_length(k, v, signed) == len(want), (k, v, signed)
-
-
-@pytest.mark.parametrize("signed", [False, True])
-@pytest.mark.parametrize("stride", [2, 5, 7, 64])
-def test_stride_partitions_across_runs_reassemble(signed, stride):
-    # runs of the (3, 11) stream hold 1 to 144 values, so every stride here
-    # puts partition elements on both sides of many run boundaries
-    full = list(sparse_values(3, 11, signed))
-    merged = {}
-    for start in range(stride):
-        part = list(stream_slice(3, 11, signed, start, stride))
-        assert [i for i, _ in part] == list(range(start, len(full), stride))
-        merged.update(part)
-    assert [merged[i] for i in range(len(full))] == full
-    # a partition may also start beyond its first stride
-    tail = list(stream_slice(3, 11, signed, len(full) - 3, stride))
-    assert tail[0] == (len(full) - 3, full[-3])
 
 
 def test_stream_length_closed_form_counts_stream():

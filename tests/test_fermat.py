@@ -156,17 +156,6 @@ def test_extended_sparse_op_cap():
     assert capped.ops <= 500
 
 
-def test_extended_sparse_partitions_agree():
-    budget = SearchBudget(k=2, v_max=6, t_max=32)
-    n = 101 * 149
-    whole = fermat.extended_fermat_sparse(n, budget)
-    assert whole.factored
-    parts = [fermat.extended_fermat_sparse(n, budget, (w, 3)) for w in range(3)]
-    hits = [r for r in parts if r.factored]
-    best = min(hits, key=lambda r: r.certificate.witness["index"])
-    assert best.certificate == whole.certificate
-
-
 def test_solve_quadratic_from_sum():
     assert fermat.solve_quadratic_from_sum(10403, 204) == (101, 103)
     assert fermat.solve_quadratic_from_sum(EX_N, 44509024) == (EX_P, EX_Q)

@@ -92,6 +92,13 @@ def test_budget_rejects_negative_t_max():
     assert SearchBudget(k=2, v_max=3, t_max=0).t_max == 0
 
 
+@pytest.mark.parametrize("multipliers", [(), (0,), (1, -1)])
+def test_budget_rejects_bad_multipliers(multipliers):
+    # b = 0 makes every discriminant a^2 a square; b < 0 failed inside isqrt
+    with pytest.raises(ValueError, match="multiplier"):
+        SearchBudget(k=2, v_max=3, t_max=0, multipliers=multipliers)
+
+
 def _round_trip(result, n):
     blob = result_to_json(result)
     back = result_from_json(blob)

@@ -74,12 +74,11 @@ def ref_offset_scan(n, anchor, t_max, ops_allowed):
     return None, ops, False
 
 
-def ref_extended_sparse(n, budget, partition=None):
-    start, stride = partition or (0, 1)
+def ref_extended_sparse(n, budget):
     s0, f0 = math.isqrt(n), iroot(n, 4)
     ops = 0
-    for idx, a in expansions.stream_slice(budget.k, budget.v_max, True,
-                                          start, stride):
+    for idx, a in enumerate(expansions.sparse_values(budget.k, budget.v_max,
+                                                     True)):
         if ops >= budget.op_cap:
             break
         base = s0 + a * f0
@@ -100,13 +99,12 @@ def ref_extended_sparse(n, budget, partition=None):
     return exhausted(ops)
 
 
-def ref_sparse_difference(n, budget, partition=None):
-    start, stride = partition or (0, 1)
+def ref_sparse_difference(n, budget):
     ops = 0
     for b in budget.multipliers:
         four_bn = 4 * b * n
-        for idx, a in expansions.stream_slice(budget.k, budget.v_max, False,
-                                              start, stride):
+        for idx, a in enumerate(expansions.sparse_values(budget.k,
+                                                         budget.v_max, False)):
             for sign_a, sign_bn in sparse_diff.SIGN_PATTERNS:
                 disc = a * a - four_bn if sign_bn > 0 else a * a + four_bn
                 if disc < 0:
@@ -221,10 +219,8 @@ def test_extended_sparse_matches_plain_loop():
                               v_max=rng.choice((3, 6, 10)),
                               t_max=rng.choice((0, 1, 5, 40)),
                               op_cap=rng.choice((1, 2, 3, 7, 40, 333, 1 << 40)))
-        for part in (None, (0, 2), (1, 2), (2, 3)):
-            assert _outcome(fermat.extended_fermat_sparse(n, budget, part)) \
-                == _outcome(ref_extended_sparse(n, budget, part)), \
-                (n, budget, part)
+        assert _outcome(fermat.extended_fermat_sparse(n, budget)) \
+            == _outcome(ref_extended_sparse(n, budget)), (n, budget)
 
 
 def test_extended_sparse_cap_mid_anchor():
@@ -247,10 +243,8 @@ def test_sparse_difference_matches_plain_loop():
                               multipliers=rng.choice(((1,), (1, 2),
                                                       (3, 1), (1, 2, 4, 8))),
                               op_cap=rng.choice((1, 2, 3, 5, 7, 99, 1 << 40)))
-        for part in (None, (0, 2), (1, 2), (1, 3)):
-            assert _outcome(sparse_diff.sparse_difference_factor(n, budget, part)) \
-                == _outcome(ref_sparse_difference(n, budget, part)), \
-                (n, budget, part)
+        assert _outcome(sparse_diff.sparse_difference_factor(n, budget)) \
+            == _outcome(ref_sparse_difference(n, budget)), (n, budget)
 
 
 def test_sparse_difference_cap_mid_value():

@@ -111,14 +111,3 @@ def test_completeness_on_generated_instances():
         assert r.factored and r.factors == (p, q), (n, p, q)
         assert verify_certificate(n, r.certificate)
         assert r.ops <= 4 * stream_length(k, bits // 2, False)
-
-
-def test_partitioned_runs_reassemble():
-    n = 101 * 149
-    budget = SearchBudget(k=2, v_max=8, t_max=4, multipliers=(1,))
-    whole = sparse_diff.sparse_difference_factor(n, budget)
-    parts = [sparse_diff.sparse_difference_factor(n, budget, (w, 4))
-             for w in range(4)]
-    hits = [r for r in parts if r.factored]
-    assert min(h.certificate.witness["index"] for h in hits) \
-        == whole.certificate.witness["index"]
