@@ -48,10 +48,7 @@ from .model import (
 )
 from .sparse_diff import discriminant_root, roots_from_discriminant, sparse_difference_factor
 from .sparse_exp import (
-    RunningExponent,
     cyclotomic_form_factor,
-    exponent_step,
-    gcd_probe,
     germain_factor,
     sparse_exponent_factor,
     unity_root_recovery,
@@ -72,7 +69,6 @@ __all__ = [
     "FactorResult",
     "GenerationError",
     "LowOrderBaseError",
-    "RunningExponent",
     "SearchBudget",
     "SparseInt",
     "WeakClassReport",
@@ -85,12 +81,10 @@ __all__ = [
     "cyclotomic_form_factor",
     "discriminant_root",
     "enumerate_sparse",
-    "exponent_step",
     "extended_fermat_offset",
     "extended_fermat_sparse",
     "fermat_count",
     "gcd",
-    "gcd_probe",
     "generate_weak",
     "germain_factor",
     "iroot",

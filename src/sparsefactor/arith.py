@@ -358,18 +358,33 @@ def trial_division(n: int, bound: int) -> FactorResult:
     return exhausted(ops)
 
 
+PM1_BATCH = 64  # prime stages per pow and gcd in pollard_pm1
+
+
 def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
     """Stage-wise p-1 method: exponent = product of prime powers <= bound.
 
-    The gcd is probed after every prime stage, so a split survives even
-    when the full exponent would kill both factors at once.  A degenerate
-    gcd == n restarts with the next base, at most 8 bases total.
+    Each stage raises x to one prime power.  The stages run in batches of
+    PM1_BATCH: one pow by the batch's product and one gcd.  A batch whose
+    gcd is not 1 is replayed stage by stage from its start, so the split is
+    the one a gcd after every stage finds (once x is 1 mod a prime factor,
+    every later power is too), and a split survives even when the full
+    exponent would kill both factors at once.  `ops` counts prime stages.
+    A degenerate gcd == n restarts with the next base, at most 8 bases total.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
+    stages = []
+    for p in small_primes(smoothness_bound):
+        pe = p
+        while pe * p <= smoothness_bound:
+            pe *= p
+        stages.append(pe)
+    batches = [stages[i:i + PM1_BATCH]
+               for i in range(0, len(stages), PM1_BATCH)]
+    products = [math.prod(batch) for batch in batches]
     ops = 0
     base = t
-    stages = small_primes(smoothness_bound)
     for _ in range(8):
         g = math.gcd(base, n)
         if 1 < g < n:  # lucky: the base itself shares a factor
@@ -377,23 +392,25 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
                                {"base": base, "bound": smoothness_bound, "divisor": g})
             return factored(g, n // g, cert, ops)
         x = base % n
-        degenerate = False
-        for p in stages:
-            pe = p
-            while pe * p <= smoothness_bound:
-                pe *= p
-            x = pow(x, pe, n)
-            ops += 1
-            g = math.gcd(x - 1, n)
-            if 1 < g < n:
+        for batch, product in zip(batches, products):
+            y = pow(x, product, n)
+            if math.gcd(y - 1, n) == 1:
+                x = y
+                ops += len(batch)
+                continue
+            for pe in batch:
+                x = pow(x, pe, n)
+                ops += 1
+                g = math.gcd(x - 1, n)
+                if g != 1:
+                    break
+            if g < n:
                 cert = Certificate(
                     METHOD_POLLARD_PM1,
                     {"base": base, "bound": smoothness_bound, "divisor": g})
                 return factored(g, n // g, cert, ops)
-            if g == n:
-                degenerate = True
-                break
-        if not degenerate:
+            break  # degenerate: gcd == n
+        else:
             return exhausted(ops)
         base += 1
         while base % 2 == 0 or base == n:

@@ -156,7 +156,8 @@ def _auto_cascade(n: int, budget: SearchBudget, args) -> FactorResult:
                 return result
         except LowOrderBaseError:
             pass
-    return sparse_exponent_factor(n, quick, trials=args.trials or 4,
+    trials = 4 if args.trials is None else args.trials
+    return sparse_exponent_factor(n, quick, trials=trials,
                                   seed=budget.seed)
 
 
@@ -174,6 +175,8 @@ def cmd_factor(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     budget = _budget_from(n, args)
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be >= 1")
     started = time.perf_counter()
     if n < 3:
         result = FactorResult("TrivialInput", None, None, 0)
@@ -202,8 +205,8 @@ def cmd_factor(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
         else:
-            result = sparse_exponent_factor(n, budget,
-                                            trials=args.trials or 8,
+            trials = 8 if args.trials is None else args.trials
+            result = sparse_exponent_factor(n, budget, trials=trials,
                                             seed=budget.seed)
     elif args.method == "pm1":
         result = pollard_pm1(n, args.budget or 100_000)
@@ -232,7 +235,8 @@ def cmd_factor(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    spec = weakset.WeakClassSpec(class_id=args.weak_class, k=args.k or 3,
+    spec = weakset.WeakClassSpec(class_id=args.weak_class,
+                                 k=3 if args.k is None else args.k,
                                  v_max=args.vmax)
     try:
         rows = weakset.generate_weak(spec, args.bits, args.count,
@@ -275,8 +279,9 @@ def cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOINPUT
     for rec in records:
+        overrides = {} if args.k is None else {"k": args.k}
         budget = SearchBudget.default_for(rec.n, seed=_seed_from(args),
-                                          **({"k": args.k} if args.k else {}))
+                                          **overrides)
         factors = (rec.p, rec.q) if rec.p is not None else None
         report = weakset.audit(rec.n, factors, budget)
         if args.json:

@@ -6,18 +6,19 @@ probe after every step looks for gcd(T^E - 1, N) to land strictly between
 1 and N.  When the probe degenerates to N, the trace's factorization of E
 into known integer factors allows walking square roots of unity downward
 (w = T^s, T^(2s), ...) to recover a nontrivial root and split N anyway.
+The grid keeps its trace as plain (A, B) integer pairs; NAF digits are
+written only into a certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import expansions
 from .arith import is_probable_prime
-from .expansions import SparseInt, value_of
 from .model import (
     Certificate,
     FactorResult,
@@ -29,57 +30,6 @@ from .model import (
     probable_prime,
     trivial_input,
 )
-
-
-@dataclass(frozen=True)
-class RunningExponent:
-    """Accumulated state T^(prod of trace factors) mod n."""
-
-    n: int
-    base: int
-    power: int
-    trace: tuple[tuple[SparseInt, SparseInt], ...] = ()
-    factor_bits: int = 0  # sum of factor bit lengths: size summary of E
-
-    @classmethod
-    def fresh(cls, n: int, base: int) -> "RunningExponent":
-        return cls(n, base, base % n)
-
-    def factor_values(self) -> list[int]:
-        return [abs(value_of(a) * self.n + value_of(b)) for a, b in self.trace]
-
-
-def exponent_step(state: RunningExponent, a: SparseInt,
-                  b: SparseInt) -> RunningExponent:
-    """Multiply A*N + B into the running exponent."""
-    f = value_of(a) * state.n + value_of(b)
-    if f == 0:
-        raise ValueError("degenerate factor")
-    f = abs(f)
-    return RunningExponent(state.n, state.base, pow(state.power, f, state.n),
-                           state.trace + ((a, b),),
-                           state.factor_bits + f.bit_length())
-
-
-class GcdProbe(NamedTuple):
-    kind: str  # "no_split" | "split" | "degenerate"
-    p: Optional[int]
-    q: Optional[int]
-    side: int  # which gcd hit: -1 for T^E - 1, +1 for T^E + 1
-
-
-def gcd_probe(state: RunningExponent) -> GcdProbe:
-    """Inspect gcd(T^E -+ 1, N) for a proper divisor."""
-    n = state.n
-    d0 = math.gcd(state.power - 1, n)
-    if d0 == n:
-        return GcdProbe("degenerate", None, None, -1)
-    if d0 > 1:
-        return GcdProbe("split", min(d0, n // d0), max(d0, n // d0), -1)
-    d1 = math.gcd(state.power + 1, n)
-    if 1 < d1 < n:
-        return GcdProbe("split", min(d1, n // d1), max(d1, n // d1), 1)
-    return GcdProbe("no_split", None, None, 0)
 
 
 class UnitySplit(NamedTuple):
@@ -141,6 +91,8 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
     fails the base is abandoned (its order divides both p-1 and q-1, so
     the whole row would stay degenerate).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if n < 3:
         return trivial_input()
     if n % 2 == 0:
@@ -149,6 +101,9 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
     if is_probable_prime(n, seed):
         return probable_prime()
     rng = random.Random(seed)
+    # every a row walks the same signed b row: draw it once, lazily
+    b_seen: list[int] = []
+    b_source = expansions.sparse_values(budget.k, budget.v_max, True)
     ops = 0
     for trial in range(trials):
         base = 2 if trial == 0 else rng.randrange(2, n - 1)
@@ -157,50 +112,59 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
             if g == n:
                 continue
             return _lucky_split(n, base, g, ops)
-        state = RunningExponent.fresh(n, base)
-        abandoned = False
-        for a_val in _nonneg_values(budget.k, budget.v_max):
-            # B = 0 contributes the bare factor A*N
-            for b_val in expansions.sparse_values(budget.k, budget.v_max, True):
-                f = a_val * n + b_val
-                if -1 <= f <= 1:
-                    continue
-                if ops >= budget.op_cap:
-                    return exhausted(ops)
-                ops += 1
-                state = exponent_step(state, expansions.naf(a_val),
-                                      expansions.naf(b_val))
-                probe = gcd_probe(state)
-                if probe.kind == "split":
-                    trace = [[_digits(value_of(a)), _digits(value_of(b))]
-                             for a, b in state.trace]
-                    cert = Certificate(
-                        METHOD_SPARSE_EXPONENT,
-                        {"kind": "grid", "trace": trace, "base": base,
-                         "gcd_side": probe.side,
-                         "exponent_bits": state.factor_bits})
-                    return factored(probe.p, probe.q, cert, ops)
-                if probe.kind == "degenerate":
-                    split = unity_root_recovery(base, state.factor_values(), n)
-                    if split is not None:
-                        cert = Certificate(
-                            METHOD_SPARSE_EXPONENT,
-                            {"kind": "unity_root",
-                             "factors": state.factor_values(), "base": base,
-                             "square_ups": split.square_ups})
-                        return factored(split.p, split.q, cert, ops)
-                    abandoned = True
+        x = base % n
+        steps: list[tuple[int, int, int]] = []
+        for step in _grid(n, budget, b_seen, b_source):
+            if ops >= budget.op_cap:
+                return exhausted(ops)
+            ops += 1
+            x = pow(x, step[2], n)
+            steps.append(step)
+            d, side = math.gcd(x - 1, n), -1
+            if d == n:
+                factors = [f for _, _, f in steps]
+                split = unity_root_recovery(base, factors, n)
+                if split is None:
                     break
-            if abandoned:
-                break
+                cert = Certificate(
+                    METHOD_SPARSE_EXPONENT,
+                    {"kind": "unity_root", "factors": factors, "base": base,
+                     "square_ups": split.square_ups})
+                return factored(split.p, split.q, cert, ops)
+            if d == 1:
+                d, side = math.gcd(x + 1, n), 1
+            if 1 < d < n:
+                trace = [[_digits(a), _digits(b)] for a, b, _ in steps]
+                bits = sum(f.bit_length() for _, _, f in steps)
+                cert = Certificate(
+                    METHOD_SPARSE_EXPONENT,
+                    {"kind": "grid", "trace": trace, "base": base,
+                     "gcd_side": side, "exponent_bits": bits})
+                return factored(min(d, n // d), max(d, n // d), cert, ops)
     return exhausted(ops)
 
 
-def _nonneg_values(k: int, v_max: int):
+def _grid(n: int, budget: SearchBudget, b_seen: list[int],
+          b_source: Iterator[int]) -> Iterator[tuple[int, int, int]]:
+    """(A, B, |A*N + B|) in grid order, skipping the factors 0 and +-1.
+
+    The b row is read from b_seen, then drawn from b_source and appended,
+    so b_seen stays a prefix of the row shared by every a row and trial.
+    """
     # the A = 0 row multiplies plain sparse B factors into the exponent,
     # which scoops up small primes before any A*N + B factor is needed
-    yield 0
-    yield from expansions.sparse_values(k, v_max, False)
+    a_row = expansions.sparse_values(budget.k, budget.v_max, False)
+    for a_val in itertools.chain((0,), a_row):
+        a_n = a_val * n
+        for b_val in b_seen:
+            f = a_n + b_val
+            if f > 1 or f < -1:
+                yield a_val, b_val, abs(f)
+        for b_val in b_source:
+            b_seen.append(b_val)
+            f = a_n + b_val
+            if f > 1 or f < -1:
+                yield a_val, b_val, abs(f)
 
 
 def germain_factor(n: int, k_max: int, base: int = 2) -> FactorResult:

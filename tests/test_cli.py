@@ -43,6 +43,44 @@ def test_factor_structured_form(capsys):
     assert (payload["p"], payload["q"]) == ("641", "6700417")
 
 
+@pytest.mark.parametrize("argv,expected", [
+    (["4294967297", "--form", "fermat:5"],
+     {"method": "SparseExponent", "n": "4294967297", "ops": 3, "p": "641",
+      "q": "6700417", "status": "Factored",
+      "witness": {"a": "1", "b": "-2", "base": "3", "kind": "cyclotomic",
+                  "period": "128", "steps": 3}}),
+    (["253"],
+     {"method": "SparseExponent", "n": "253", "ops": 7, "p": "11", "q": "23",
+      "status": "Factored",
+      "witness": {"base": "2", "exponent_bits": 17, "gcd_side": -1,
+                  "kind": "grid",
+                  "trace": [[[], [[1, 1]]], [[], [[-1, 1]]], [[], [[1, 2]]],
+                            [[], [[-1, 2]]], [[], [[1, 2], [-1, 0]]],
+                            [[], [[-1, 2], [1, 0]]], [[], [[1, 2], [1, 0]]]]}}),
+    (["2047", "--form", "mersenne:11"],
+     {"method": "SparseExponent", "n": "2047", "ops": 1, "p": "23", "q": "89",
+      "status": "Factored",
+      "witness": {"base": "3", "factors": ["2024"], "kind": "unity_root",
+                  "square_ups": 2, "steps": 1}}),
+    (["2047"],
+     {"method": "SparseExponent", "n": "2047", "ops": 42, "p": "23",
+      "q": "89", "status": "Factored",
+      "witness": {"base": "1731",
+                  "factors": ["2", "2", "4", "4", "8", "8", "3", "3", "5",
+                              "5", "6", "6", "7", "7", "9", "9", "10", "10",
+                              "2047", "2048", "2046"],
+                  "kind": "unity_root", "square_ups": 1}}),
+])
+def test_structured_fixture_payloads(argv, expected, capsys):
+    # F5, Germain 253 and Mersenne 2047, on the form and the grid paths
+    code, out, _ = run_cli(capsys, "factor", argv[0], "--method", "sparseexp",
+                           *argv[1:], "--json")
+    assert code == 0
+    payload = json.loads(out)
+    del payload["elapsed_s"]
+    assert payload == expected
+
+
 def test_factor_exit_codes(capsys):
     assert run_cli(capsys, "factor", "10007")[0] == 2       # probable prime
     assert run_cli(capsys, "factor", "abc")[0] == 64        # malformed
@@ -203,11 +241,18 @@ def test_usage_error_exit(capsys):
     (["factor", "10403", "--method", "sparsediff", "--multipliers", "-1"], 64),
     (["density", "--kind", "fermat", "--xmax", "0"], 64),
     (["density", "--kind", "romanoff", "--xmax", "0"], 64),
+    (["factor", "8051", "--method", "sparseexp", "--trials", "0"], 64),
+    (["factor", "8051", "--method", "sparseexp", "--trials", "-1"], 64),
+    (["audit", "--in", "{good}", "--k", "0"], 64),
+    (["generate", "--class", "b", "--bits", "64", "--count", "1", "--k", "0"],
+     64),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     corpus = tmp_path / "small.txt"
     corpus.write_text("10403,101,103\n9\n")  # N = 9 is below the auditor's 15
-    argv = [a.format(corpus=corpus) for a in argv]
+    good = tmp_path / "good.txt"
+    good.write_text("10403,101,103\n")
+    argv = [a.format(corpus=corpus, good=good) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert "Traceback" not in err

@@ -6,70 +6,82 @@ import pytest
 from conftest import random_semiprime
 from sparsefactor import sparse_exp
 from sparsefactor.arith import multiplicative_order_small
-from sparsefactor.expansions import SparseInt, naf
 from sparsefactor.model import SearchBudget, verify_certificate
 from sparsefactor.sparse_exp import (
-    RunningExponent,
     cyclotomic_form_factor,
-    exponent_step,
-    gcd_probe,
     germain_factor,
     sparse_exponent_factor,
     unity_root_recovery,
 )
 
 
-def test_fresh_state_is_base():
-    state = RunningExponent.fresh(15, 2)
-    assert state.power == 2
-    assert state.trace == ()
+def _grid_runs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, _, _ = random_semiprime(rng, rng.choice((12, 16, 20, 24, 32)))
+        budget = SearchBudget(k=rng.randint(1, 3), v_max=rng.randint(2, 9),
+                              t_max=4, op_cap=rng.choice((30, 300)))
+        yield n, budget, sparse_exponent_factor(
+            n, budget, rng.randint(1, 4), rng.randint(0, 5))
 
 
-def test_exponent_step_known():
-    state = RunningExponent.fresh(15, 2)
-    stepped = exponent_step(state, naf(2), naf(1))  # factor 2*15 + 1 = 31
-    assert stepped.power == pow(2, 31, 15) == 8
-    assert stepped.factor_values() == [31]
-    assert stepped.factor_bits == 5
+def _trace_factors(n, witness):
+    values = [[sum(s << e for s, e in digits) for digits in pair]
+              for pair in witness["trace"]]
+    return [abs(a * n + b) for a, b in values]
 
 
-def test_exponent_step_chaining_is_product():
-    rng = random.Random(31)
-    for _ in range(40):
-        n = rng.randrange(5, 1000) | 1
-        t = rng.randrange(2, n)
-        a1, b1 = rng.randrange(0, 4), rng.randrange(-8, 9)
-        a2, b2 = rng.randrange(0, 4), rng.randrange(-8, 9)
-        f1, f2 = a1 * n + b1, a2 * n + b2
-        if f1 == 0 or f2 == 0:
-            continue
-        s = RunningExponent.fresh(n, t)
-        s = exponent_step(s, naf(a1), naf(b1))
-        s = exponent_step(s, naf(a2), naf(b2))
-        assert s.power == pow(t, abs(f1) * abs(f2), n)
+def test_grid_certificates_reverify():
+    kinds = set()
+    for n, _, r in _grid_runs(150, 35):
+        if r.factored:
+            kinds.add(r.certificate.witness["kind"])
+            assert verify_certificate(n, r.certificate)
+            assert r.factors[0] * r.factors[1] == n
+    assert kinds == {"grid", "unity_root"}
 
 
-def test_exponent_step_rejects_zero_factor():
-    state = RunningExponent.fresh(15, 2)
-    with pytest.raises(ValueError, match="degenerate"):
-        exponent_step(state, SparseInt(()), SparseInt(()))
+def test_grid_exponent_bits_sum_trace_factors():
+    checked = 0
+    for n, _, r in _grid_runs(80, 36):
+        if r.factored and r.certificate.witness["kind"] == "grid":
+            w = r.certificate.witness
+            factors = _trace_factors(n, w)
+            assert len(factors) <= r.ops and 0 not in factors
+            assert w["exponent_bits"] == sum(f.bit_length() for f in factors)
+            checked += 1
+    assert checked >= 30
 
 
-def test_gcd_probe_outcomes():
-    # 2^506 = 185 (mod 253); gcd(184, 253) = 23
-    state = RunningExponent.fresh(253, 2)
-    state = exponent_step(state, naf(2), naf(0))  # factor 506
-    assert state.power == 185
-    probe = gcd_probe(state)
-    assert (probe.kind, probe.p, probe.q) == ("split", 11, 23)
+def test_grid_exhausted_run_reports_op_cap():
+    exhausted = 0
+    for _, budget, r in _grid_runs(80, 37):
+        if r.status == "Exhausted" and r.ops == budget.op_cap:
+            exhausted += 1
+        assert r.ops <= budget.op_cap
+    assert exhausted >= 20
+    r = sparse_exponent_factor(8633, SearchBudget(k=2, v_max=6, t_max=4,
+                                                  op_cap=2))
+    assert (r.status, r.ops) == ("Exhausted", 2)
 
-    degenerate = RunningExponent.fresh(253, 1)
-    assert gcd_probe(degenerate).kind == "degenerate"
 
-    state = RunningExponent.fresh(10403, 2)
-    state = exponent_step(state, naf(0), naf(3))
-    assert state.power == 8
-    assert gcd_probe(state).kind == "no_split"
+def test_grid_253_split_on_the_506_exponent():
+    # base 2, k = 1, v = 1: factors 2, 2, then 1*253 + 0, so E = 2 * 506;
+    # 2^506 = 185 (mod 253) and 185^2 - 1 = 69 shares 23 with 253
+    assert pow(2, 506, 253) == 185 and pow(185, 2, 253) == 70
+    budget = SearchBudget(k=1, v_max=1, t_max=4)
+    r = sparse_exponent_factor(253, budget, trials=1)
+    assert (r.factors, r.ops) == ((11, 23), 3)
+    assert _trace_factors(253, r.certificate.witness) == [2, 2, 253]
+    capped = SearchBudget(k=1, v_max=1, t_max=4, op_cap=2)
+    assert sparse_exponent_factor(253, capped, trials=1).ops == 2
+
+
+def test_grid_rejects_no_trials():
+    budget = SearchBudget(k=2, v_max=6, t_max=4)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials"):
+            sparse_exponent_factor(8051, budget, trials=trials)
 
 
 def test_unity_root_recovery_known():
