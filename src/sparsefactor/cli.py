@@ -7,6 +7,7 @@ prime, 64 usage error, 66 unreadable or malformed input file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -185,7 +186,7 @@ def cmd_factor(args) -> int:
     elif args.method == "trial":
         result = trial_division(n, args.budget or 10 ** 6)
     elif args.method == "fermat":
-        result = classic_fermat(n, args.tmax or budget.t_max)
+        result = classic_fermat(n, min(budget.t_max, budget.op_cap))
     elif args.method == "xfermat":
         result = extended_fermat_sparse(n, budget)
     elif args.method == "sparsediff":
@@ -391,7 +392,9 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="sparsefactor",
         description="factor balanced semiprimes with sparse additive structure")

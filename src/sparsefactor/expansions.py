@@ -17,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SparseInt:
@@ -84,7 +86,12 @@ def cardinality_bound(k: int, v: int) -> int:
     return (2 * v) ** k
 
 
-def _weight_runs(w: int, v_max: int) -> Iterator[list[int]]:
+# A NAF led by 2^e is below 2^(e+2)/3, and 2^64/3 < 2^63: up to this v_max
+# every stream value, and every intermediate 2^e +- x, fits in int64.
+_INT64_VMAX = 62
+
+
+def _weight_runs(w: int, v_max: int, dtype) -> Iterator[np.ndarray]:
     """Positive values of exact NAF weight w, exponents <= v_max, ascending.
 
     One run per leading exponent e.  A NAF led by 2^e lies in
@@ -97,14 +104,14 @@ def _weight_runs(w: int, v_max: int) -> Iterator[list[int]]:
     """
     if w == 1:
         for e in range(v_max + 1):
-            yield [1 << e]
+            yield np.array([1 << e], dtype=dtype)
         return
-    lower = _weight_runs(w - 1, v_max - 2)
-    prefix: list[int] = []
+    lower = _weight_runs(w - 1, v_max - 2, dtype)
+    prefix = np.empty(0, dtype=dtype)
     for e in range(2 * (w - 1), v_max + 1):
-        prefix += next(lower)
+        prefix = np.concatenate((prefix, next(lower)))
         top = 1 << e
-        yield [top - x for x in reversed(prefix)] + [top + x for x in prefix]
+        yield np.concatenate((top - prefix[::-1], top + prefix))
 
 
 def _max_weight(k: int, v_max: int) -> int:
@@ -112,26 +119,31 @@ def _max_weight(k: int, v_max: int) -> int:
     return min(k, v_max // 2 + 1)
 
 
-def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[list[int]]:
-    """The canonical stream cut into consecutive ascending runs."""
+def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[np.ndarray]:
+    """The canonical stream cut into consecutive ascending runs.
+
+    Runs are int64 arrays up to v_max = _INT64_VMAX and object arrays of
+    Python ints above it.
+    """
+    dtype = np.int64 if v_max <= _INT64_VMAX else object
     if signed:
-        yield [0]
+        yield np.zeros(1, dtype=dtype)
     for w in range(1, _max_weight(k, v_max) + 1):
-        for run in _weight_runs(w, v_max):
+        for run in _weight_runs(w, v_max, dtype):
             if signed:
-                both = [0] * (2 * len(run))
+                both = np.empty(2 * len(run), dtype=dtype)
                 both[::2] = run
-                both[1::2] = [-x for x in run]
+                both[1::2] = -run
                 run = both
             yield run
 
 
 def sparse_values(k: int, v_max: int, signed: bool) -> Iterator[int]:
-    """Canonical value stream; the integer backbone of enumerate_sparse."""
+    """Canonical value stream of Python ints; the backbone of enumerate_sparse."""
     if k < 1 or v_max < 0:
         raise ValueError("need k >= 1 and v_max >= 0")
     for run in _stream_runs(k, v_max, signed):
-        yield from run
+        yield from run.tolist()
 
 
 def enumerate_sparse(k: int, v_max: int,

@@ -70,24 +70,25 @@ def roots_from_discriminant(a: int, b: int, n: int, sign: int,
 
 
 def _chunks(runs):
-    """(index, values): the stream cut into chunks of _CHUNK values.
+    """(index, values): the stream cut into arrays of _CHUNK values.
 
     Short runs are coalesced, so each chunk is one sieve call whatever the
     run lengths; index is the stream index of values[0].
     """
-    index, chunk = 0, []
+    index, pieces, size = 0, [], 0
     for run in runs:
         pos = 0
         while pos < len(run):
-            piece = run[pos:pos + _CHUNK - len(chunk)]
-            chunk += piece
+            piece = run[pos:pos + _CHUNK - size]
+            pieces.append(piece)
+            size += len(piece)
             pos += len(piece)
-            if len(chunk) == _CHUNK:
-                yield index, chunk
+            if size == _CHUNK:
+                yield index, np.concatenate(pieces)
                 index += _CHUNK
-                chunk = []
-    if chunk:
-        yield index, chunk
+                pieces, size = [], 0
+    if pieces:
+        yield index, np.concatenate(pieces)
 
 
 def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
@@ -119,16 +120,16 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
             # every value costs at least two ops: sieve none past the cap
             # (a chunk cut short here is the last before the cap)
             chunk = chunk[:(cap - ops + 1) // 2]
-            # object arrays keep values past int64 exact
-            values = np.array(chunk, dtype=object)
-            a_mod = (values % SIEVE_MODULUS).astype(np.int64)
-            wide = values >= a_min
+            # int64 chunks compare exactly with a_min past 2^63 (NEP 50);
+            # object chunks of Python ints keep v_max > 62 exact
+            a_mod = (chunk % SIEVE_MODULUS).astype(np.int64, copy=False)
+            wide = chunk >= a_min
             cost = np.where(wide, 4, 2)
             first_op = ops + np.cumsum(cost) - cost + 1
             minus = below.values(a_mod) & wide
             plus = above.values(a_mod)
             for i in np.flatnonzero(minus | plus):
-                a = chunk[i]
+                a = int(chunk[i])
                 for sieve, sign_bn, op, passed in (
                         (below, 1, first_op[i], minus[i]),
                         (above, -1, first_op[i] + wide[i], plus[i])):

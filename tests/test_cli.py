@@ -225,9 +225,48 @@ def test_workers_reproduce_certificates(argv, code, status, capsys):
         assert outs[0]["ops"] == 5_000_000
 
 
+@pytest.mark.parametrize("budget", [1, 1000])
+@pytest.mark.parametrize("method", ["fermat", "xfermat", "sparsediff",
+                                    "sparseexp"])
+def test_single_method_ops_within_budget(method, budget, capsys):
+    # the reference N needs 2,401 classic steps, more than either budget
+    code, out, _ = run_cli(capsys, "factor", "448316072600119", "--method",
+                           method, "--budget", str(budget), "--json")
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "Exhausted"
+    assert payload["ops"] <= budget
+
+
 def test_usage_error_exit(capsys):
     assert cli.main(["factor"]) == 64
     assert cli.main([]) == 64
+
+
+_MAIN_SEQUENCE = [
+    (["factor", "10403", "--method", "xfermat", "--k", "1", "--vmax", "4",
+      "--multipliers", "1,2", "--seed", "7", "--json"], 0),
+    (["factor", "10403", "--method", "trial"], 0),
+    (["generate", "--class", "b", "--bits", "64", "--k", "2", "--seed", "3"],
+     0),
+    (["factor", "10403", "--budget", "0"], 64),
+    (["factor", "10403", "--bogus"], 64),
+    (["density", "--kind", "fermat", "--xmax", "10000"], 0),
+    (["factor", "10403"], 0),
+]
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    fresh = cli.build_parser.__wrapped__
+    for argv, want in _MAIN_SEQUENCE + _MAIN_SEQUENCE[::-1]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == want, argv
+        assert (out == "") == (want == 64) and "Traceback" not in err
+        assert out.startswith("{") == ("--json" in argv)
+        if "--bogus" not in argv:
+            # flags set by an earlier call never reach a later namespace
+            assert vars(parser.parse_args(argv)) == vars(fresh().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from sparsefactor import expansions
@@ -204,6 +205,47 @@ def test_first_weight_three_value_is_cheap():
         tracemalloc.stop()
     assert first == 11 and weight(first) == 3
     assert peak < 1 << 20
+
+
+def _top_run(v):
+    # the last weight-3 run at v, in Python ints: 2^v minus, then plus,
+    # each weight-2 value with exponents <= v - 2, ascending
+    prefix = sorted((1 << a) + s * (1 << b)
+                    for a in range(2, v - 1) for b in range(a - 1)
+                    for s in (1, -1))
+    top = 1 << v
+    return [top - x for x in reversed(prefix)] + [top + x for x in prefix]
+
+
+def test_runs_are_int64_up_to_v62():
+    runs = list(expansions._stream_runs(3, 62, False))
+    assert {run.dtype for run in runs} == {np.dtype(np.int64)}
+    # the stream's largest value, 2^62 + 2^60 + 2^58, is its last
+    assert max(int(run.max()) for run in runs) == (1 << 62) + (1 << 60) + (1 << 58)
+    assert runs[-1].tolist() == _top_run(62)
+    signed = list(expansions._stream_runs(3, 62, True))
+    assert {run.dtype for run in signed} == {np.dtype(np.int64)}
+    assert signed[-1][1::2].tolist() == [-x for x in _top_run(62)]
+
+
+def test_runs_are_python_ints_above_v62():
+    runs = list(itertools.islice(expansions._stream_runs(3, 63, True), 70))
+    assert {run.dtype for run in runs} == {np.dtype(object)}
+    assert {type(x) for run in runs for x in run} == {int}
+    last = list(expansions._weight_runs(3, 63, object))[-1]
+    assert last.tolist() == _top_run(63)
+    assert last[-1] == (1 << 63) + (1 << 61) + (1 << 59)
+
+
+@pytest.mark.parametrize("v", [20, 62, 63, 90])
+def test_streams_yield_python_ints(v):
+    # certificates are JSON-encoded and callers take .bit_count() of values
+    for signed in (False, True):
+        values = list(itertools.islice(sparse_values(3, v, signed), 5000))
+        assert {type(x) for x in values} == {int}
+        for s in itertools.islice(enumerate_sparse(3, v, signed), 300):
+            assert all(type(sign) is int and type(exp) is int
+                       for sign, exp in s.terms)
 
 
 def test_stream_counts_within_cardinality_bound():
