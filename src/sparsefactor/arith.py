@@ -358,14 +358,14 @@ def trial_division(n: int, bound: int) -> FactorResult:
     return exhausted(ops)
 
 
-PM1_BATCH = 64  # prime stages per pow and gcd in pollard_pm1
+POW_BATCH = 64  # stages per pow and gcd in pollard_pm1 and the sparse grid
 
 
 def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
     """Stage-wise p-1 method: exponent = product of prime powers <= bound.
 
     Each stage raises x to one prime power.  The stages run in batches of
-    PM1_BATCH: one pow by the batch's product and one gcd.  A batch whose
+    POW_BATCH: one pow by the batch's product and one gcd.  A batch whose
     gcd is not 1 is replayed stage by stage from its start, so the split is
     the one a gcd after every stage finds (once x is 1 mod a prime factor,
     every later power is too), and a split survives even when the full
@@ -380,8 +380,8 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
         while pe * p <= smoothness_bound:
             pe *= p
         stages.append(pe)
-    batches = [stages[i:i + PM1_BATCH]
-               for i in range(0, len(stages), PM1_BATCH)]
+    batches = [stages[i:i + POW_BATCH]
+               for i in range(0, len(stages), POW_BATCH)]
     products = [math.prod(batch) for batch in batches]
     ops = 0
     base = t

@@ -118,13 +118,14 @@ def _budget_from(n: int, args) -> SearchBudget:
     return SearchBudget.default_for(n, **overrides)
 
 
-def _bsgs_with_retries(n: int, seed: int) -> FactorResult:
+def _bsgs_with_retries(n: int, seed: int,
+                       op_cap: Optional[int] = None) -> FactorResult:
     import random
     rng = random.Random(seed)
     base = 2
     for _ in range(6):
         try:
-            return bsgs_fermat(n, base, balanced_hint=True)
+            return bsgs_fermat(n, base, balanced_hint=True, op_cap=op_cap)
         except LowOrderBaseError:
             base = rng.randrange(2, n - 1)
     raise LowOrderBaseError("low-order base, rechoose T")
@@ -193,7 +194,7 @@ def cmd_factor(args) -> int:
         result = sparse_difference_factor(n, budget)
     elif args.method == "bsgs":
         try:
-            result = _bsgs_with_retries(n, budget.seed)
+            result = _bsgs_with_retries(n, budget.seed, budget.op_cap)
         except LowOrderBaseError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_EXHAUSTED

@@ -107,11 +107,21 @@ def _weight_runs(w: int, v_max: int, dtype) -> Iterator[np.ndarray]:
             yield np.array([1 << e], dtype=dtype)
         return
     lower = _weight_runs(w - 1, v_max - 2, dtype)
-    prefix = np.empty(0, dtype=dtype)
+    # sym[mid - size:mid + size] is -prefix reversed, then prefix: each run
+    # is one add, and the prefix grows in place at both ends
+    sym = np.empty(0, dtype=dtype)
+    mid = size = 0
     for e in range(2 * (w - 1), v_max + 1):
-        prefix = np.concatenate((prefix, next(lower)))
-        top = 1 << e
-        yield np.concatenate((top - prefix[::-1], top + prefix))
+        low = next(lower)
+        end = size + len(low)
+        if end > mid:
+            grown = np.empty(4 * end, dtype=dtype)
+            grown[2 * end - size:2 * end + size] = sym[mid - size:mid + size]
+            sym, mid = grown, 2 * end
+        sym[mid + size:mid + end] = low
+        np.negative(low[::-1], out=sym[mid - end:mid - size])
+        size = end
+        yield (1 << e) + sym[mid - size:mid + size]
 
 
 def _max_weight(k: int, v_max: int) -> int:
@@ -129,11 +139,14 @@ def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[np.ndarray]:
     if signed:
         yield np.zeros(1, dtype=dtype)
     for w in range(1, _max_weight(k, v_max) + 1):
-        for run in _weight_runs(w, v_max, dtype):
+        # weight 1 is one run here; its one-value runs only feed weight 2
+        runs = ([np.array([1 << e for e in range(v_max + 1)], dtype=dtype)]
+                if w == 1 else _weight_runs(w, v_max, dtype))
+        for run in runs:
             if signed:
                 both = np.empty(2 * len(run), dtype=dtype)
                 both[::2] = run
-                both[1::2] = -run
+                np.negative(run, out=both[1::2])
                 run = both
             yield run
 

@@ -184,14 +184,29 @@ def balanced_window(n: int) -> tuple[int, int]:
 _FALLBACK_WIDTH_CAP = 1 << 40  # keeps the baby table at most ~2^20 entries
 
 
+def _capped_steps(room: int) -> tuple[int, int]:
+    """(m, giants) covering the most sums in room ops, one kept to validate.
+
+    The table costs m - 1 multiplications, the pow by m 2*bitlen(m) and
+    each giant step one; m = 0 when not even one giant step fits.
+    """
+    m = max(1, (room - 2 * room.bit_length()) // 2)
+    giants = room - m - 2 * m.bit_length()
+    return (m, giants) if giants >= 1 else (0, 0)
+
+
 def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
-                balanced_hint: bool = True) -> FactorResult:
+                balanced_hint: bool = True,
+                op_cap: Optional[int] = None) -> FactorResult:
     """Baby-step giant-step search for the factor sum of n.
 
     Finds every e in the window with T^(N+1) == T^(lo+e) (mod N) and
     validates each hit by the square test on s^2 - 4N, which screens out
     matches caused by small multiplicative order.  ops counts modular
     multiplications (modular powers at 2 bits each) plus validations.
+    Under an op_cap below the full search's cost, m shrinks so that the
+    table, both powers and the giant steps fit, and only a prefix of the
+    window is searched; ops never exceeds op_cap.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd n >= 3")
@@ -215,6 +230,16 @@ def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
             raise ValueError("empty window")
     width = hi - lo
     m = math.isqrt(width - 1) + 1 if width > 1 else 1
+    giants = (width + m - 1) // m
+    exp = n + 1 - lo
+    spare = math.inf  # validations that fit under the cap
+    if op_cap is not None:
+        room = op_cap - 2 * exp.bit_length()
+        if m - 1 + 2 * m.bit_length() + giants > room:
+            m, giants = _capped_steps(room)
+            if m == 0:
+                return exhausted(0)
+        spare = room - (m - 1 + 2 * m.bit_length() + giants)
     mults = 0
 
     table = {}
@@ -227,18 +252,19 @@ def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
                 raise LowOrderBaseError("low-order base, rechoose T")
         table.setdefault(cur, j)
 
-    exp = n + 1 - lo
     target = pow(base, exp, n)
     mults += 2 * exp.bit_length()
     inv_m = pow(pow(base, -1, n), m, n)
     mults += 2 * m.bit_length()
 
     validations = 0
-    for i in range((width + m - 1) // m):
+    for i in range(giants):
         j = table.get(target)
         if j is not None:
             e = i * m + j
             if e < width:
+                if validations == spare:
+                    break
                 s = lo + e
                 validations += 1
                 pq = solve_quadratic_from_sum(n, s)

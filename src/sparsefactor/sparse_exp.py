@@ -1,13 +1,14 @@
 """Factoring with running exponents E = prod(A_i*N + B_j).
 
 The accumulated power T^E is tracked modulo N while E itself is never
-materialized: each grid step raises the current power to |A*N + B|.  A gcd
-probe after every step looks for gcd(T^E - 1, N) to land strictly between
-1 and N.  When the probe degenerates to N, the trace's factorization of E
-into known integer factors allows walking square roots of unity downward
-(w = T^s, T^(2s), ...) to recover a nontrivial root and split N anyway.
-The grid keeps its trace as plain (A, B) integer pairs; NAF digits are
-written only into a certificate.
+materialized: each grid step raises the current power to |A*N + B|.  A step
+splits N when gcd(T^E -+ 1, N) lands strictly between 1 and N.  Steps run
+in batches of POW_BATCH with one pow and one gcd, and a flagged batch is
+replayed step by step.  When the probe degenerates to N, the trace's
+factorization of E into known integer factors allows walking square roots
+of unity downward (w = T^s, T^(2s), ...) to recover a nontrivial root and
+split N anyway.  The grid keeps its trace as plain (A, B) integer pairs;
+NAF digits are written only into a certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import random
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import expansions
-from .arith import is_probable_prime
+from .arith import POW_BATCH, is_probable_prime
 from .model import (
     Certificate,
     FactorResult,
@@ -112,11 +113,34 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
             if g == n:
                 continue
             return _lucky_split(n, base, g, ops)
-        x = base % n
-        steps: list[tuple[int, int, int]] = []
-        for step in _grid(n, budget, b_seen, b_source):
-            if ops >= budget.op_cap:
-                return exhausted(ops)
+        grid = _grid(n, budget, b_seen, b_source)
+        result, ops = _walk_base(n, base, grid, ops, budget.op_cap)
+        if result is not None:
+            return result
+    return exhausted(ops)
+
+
+def _walk_base(n: int, base: int, grid: Iterator[tuple[int, int, int]],
+               ops: int, op_cap: int) -> tuple[Optional[FactorResult], int]:
+    """Raise base along the grid, POW_BATCH steps per pow and gcd.
+
+    Returns (result, ops); result is None when the base is abandoned or the
+    grid runs dry below the cap.  Once x == +-1 modulo a prime p | N, every
+    later power of x is too, so a batch's last value y has gcd(y^2 - 1, N)
+    = 1 only if no step of the batch would stop on gcd(x -+ 1, N).  Any
+    other batch is replayed step by step from its start, and only the
+    replay judges steps.
+    """
+    x = base % n
+    steps: list[tuple[int, int, int]] = []
+    while batch := list(itertools.islice(grid, min(POW_BATCH, op_cap - ops))):
+        y = pow(x, math.prod([f for _, _, f in batch]), n)
+        if math.gcd(y * y - 1, n) == 1:
+            x = y
+            ops += len(batch)
+            steps += batch
+            continue
+        for step in batch:
             ops += 1
             x = pow(x, step[2], n)
             steps.append(step)
@@ -125,12 +149,12 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
                 factors = [f for _, _, f in steps]
                 split = unity_root_recovery(base, factors, n)
                 if split is None:
-                    break
+                    return None, ops
                 cert = Certificate(
                     METHOD_SPARSE_EXPONENT,
                     {"kind": "unity_root", "factors": factors, "base": base,
                      "square_ups": split.square_ups})
-                return factored(split.p, split.q, cert, ops)
+                return factored(split.p, split.q, cert, ops), ops
             if d == 1:
                 d, side = math.gcd(x + 1, n), 1
             if 1 < d < n:
@@ -140,8 +164,13 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
                     METHOD_SPARSE_EXPONENT,
                     {"kind": "grid", "trace": trace, "base": base,
                      "gcd_side": side, "exponent_bits": bits})
-                return factored(min(d, n // d), max(d, n // d), cert, ops)
-    return exhausted(ops)
+                return (factored(min(d, n // d), max(d, n // d), cert, ops),
+                        ops)
+    # at the cap, a grid with a step left exhausts the run; a grid that
+    # ran dry exactly at the cap passes on to the next base
+    if ops >= op_cap and next(grid, None) is not None:
+        return exhausted(ops), ops
+    return None, ops
 
 
 def _grid(n: int, budget: SearchBudget, b_seen: list[int],

@@ -61,6 +61,8 @@ class WeakClassSpec:
             raise ValueError(f"unknown class {self.class_id!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        if self.v_max is not None and self.v_max < 0:
+            raise ValueError("v_max must be >= 0")
         if not (0 < 4 * self.eps_num < self.eps_den):
             raise ValueError("epsilon must lie in (0, 1/4)")
 
@@ -102,8 +104,12 @@ def _prime_at_or_above(start: int, limit_tries: int = _MAX_TRIES) -> int:
 
 
 def _random_sparse(rng: random.Random, max_weight: int, v_max: int) -> int:
-    """Random positive canonical sparse value: leading +, gaps >= 2."""
-    w = rng.randint(1, max_weight)
+    """Random positive canonical sparse value: leading +, gaps >= 2.
+
+    The weight is capped where w exponents with gaps >= 2 fit in 0..v_max,
+    so the dense fallback never reaches past v_max.
+    """
+    w = rng.randint(1, min(max_weight, v_max // 2 + 1))
     for _ in range(200):
         exps = sorted(rng.sample(range(v_max + 1), w))
         if all(b - a >= 2 for a, b in zip(exps, exps[1:])):
@@ -136,6 +142,8 @@ def _gen_g(rng, bits, spec):
     half = bits // 2
     v = spec.v_max if spec.v_max is not None else half - 2
     v = min(v, half - 2)
+    if v < 1:
+        return None  # q - p = 1 between odd primes
     p = _random_prime(rng, half)
     for _ in range(200):
         d = _random_sparse(rng, spec.k, v)

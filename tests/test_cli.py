@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -226,8 +227,8 @@ def test_workers_reproduce_certificates(argv, code, status, capsys):
 
 
 @pytest.mark.parametrize("budget", [1, 1000])
-@pytest.mark.parametrize("method", ["fermat", "xfermat", "sparsediff",
-                                    "sparseexp"])
+@pytest.mark.parametrize("method", ["fermat", "xfermat", "bsgs",
+                                    "sparsediff", "sparseexp"])
 def test_single_method_ops_within_budget(method, budget, capsys):
     # the reference N needs 2,401 classic steps, more than either budget
     code, out, _ = run_cli(capsys, "factor", "448316072600119", "--method",
@@ -235,6 +236,21 @@ def test_single_method_ops_within_budget(method, budget, capsys):
     payload = json.loads(out)
     assert code == 1 and payload["status"] == "Exhausted"
     assert payload["ops"] <= budget
+
+
+def test_bsgs_budget_bounds_a_122_bit_window(capsys):
+    # uncapped, this N's balanced window needs m ~ 5.1e8 baby steps
+    n = 1729382256910270481 * 2594073385365405751
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "factor", str(n), "--method", "bsgs",
+                           "--budget", "100", "--json")
+    assert time.perf_counter() - started < 1.0
+    payload = json.loads(out)
+    assert code == 1 and payload["status"] == "Exhausted"
+    assert payload["ops"] <= 100
+    code, out, _ = run_cli(capsys, "factor", "15", "--method", "bsgs",
+                           "--budget", "1")
+    assert code == 1 and "Exhausted after 0 ops" in out
 
 
 def test_usage_error_exit(capsys):
@@ -285,6 +301,7 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["audit", "--in", "{good}", "--k", "0"], 64),
     (["generate", "--class", "b", "--bits", "64", "--count", "1", "--k", "0"],
      64),
+    (["generate", "--class", "g", "--bits", "64", "--vmax", "-1"], 64),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     corpus = tmp_path / "small.txt"
@@ -300,6 +317,19 @@ def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     if "--multipliers" in argv:
         # the budget names the bad field, not an isqrt() failure deep inside
         assert "multiplier" in err
+
+
+@pytest.mark.parametrize("vmax, code", [("0", 1), ("1", 0)])
+def test_generate_tiny_vmax_exits_cleanly(vmax, code, capsys):
+    # --vmax 0 leaves only q - p = 1, never a gap between odd primes;
+    # --vmax 1 adds q - p = 2
+    got, out, err = run_cli(capsys, "generate", "--class", "g", "--bits",
+                            "64", "--vmax", vmax)
+    assert got == code
+    if code:
+        assert out == "" and err == "error: generation exhausted\n"
+    else:
+        assert err == "" and out.count("\n") == 1
 
 
 def test_workers_reduce_on_multiplier_then_index(capsys):

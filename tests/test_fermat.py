@@ -6,7 +6,12 @@ import pytest
 from conftest import random_semiprime
 from sparsefactor import fermat
 from sparsefactor.arith import iroot, isqrt
-from sparsefactor.model import LowOrderBaseError, SearchBudget, verify_certificate
+from sparsefactor.model import (
+    LowOrderBaseError,
+    SearchBudget,
+    exhausted,
+    verify_certificate,
+)
 
 EX_N = 448316072600119
 EX_P, EX_Q = 15402707, 29106317
@@ -215,6 +220,36 @@ def test_bsgs_multiplication_budget():
         assert r.factored and r.factors == (p, q)
         width = hi - lo
         assert r.ops <= 4 * math.isqrt(width) + 8
+
+
+def test_bsgs_op_cap_bounds_ops():
+    full = fermat.bsgs_fermat(EX_N, 3)
+    assert full.ops == 3071
+    for cap in (1, 100, 300, 1000, 3000, 3200, 3300):
+        r = fermat.bsgs_fermat(EX_N, 3, op_cap=cap)
+        assert r.ops <= cap
+        if r.factored:  # a smaller m can reach the sum in fewer ops
+            assert r.factors == (EX_P, EX_Q)
+            assert verify_certificate(EX_N, r.certificate)
+    assert fermat.bsgs_fermat(EX_N, 3, op_cap=3000).status == "Exhausted"
+    # a cap above the full search's cost keeps m and the payload
+    for cap in (3400, 10 ** 9):
+        assert fermat.bsgs_fermat(EX_N, 3, op_cap=cap) == full
+
+
+def test_bsgs_op_cap_searches_a_window_prefix():
+    # 122 bits, q - p = 2^40 + 1798: the sum lies 174,762 above lo, inside
+    # the prefix a 5000-op cap covers; uncapped, m would be ~4.6e8
+    p, q = 1729382256910270481, 1729383356421898279
+    n = p * q
+    assert n.bit_length() == 122
+    r = fermat.bsgs_fermat(n, 2, op_cap=5000)
+    assert r.factors == (p, q) and r.ops <= 5000
+    assert verify_certificate(n, r.certificate)
+    r = fermat.bsgs_fermat(n, 2, op_cap=1000)
+    assert (r.status, r.ops) == ("Exhausted", 999)
+    # the two powers alone cost 2 * 122 multiplications
+    assert fermat.bsgs_fermat(n, 2, op_cap=244) == exhausted(0)
 
 
 def test_balanced_window_covers_equal_factors():

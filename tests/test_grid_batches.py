@@ -1,0 +1,183 @@
+"""The batched sparse-exponent grid against a plain per-step loop.
+
+The reference below walks the same grid order as the engine but raises x
+by one factor at a time and takes both gcds after every step, with no
+batching and no shared lazily drawn b row.  The engine must agree with it
+on the whole `result_to_dict` payload: batching may only skip gcds, never
+change a certificate, an op count or the edge at the op cap.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from conftest import random_semiprime
+from sparsefactor.arith import POW_BATCH
+from sparsefactor.expansions import naf, sparse_values
+from sparsefactor.model import (
+    Certificate,
+    METHOD_SPARSE_EXPONENT,
+    SearchBudget,
+    exhausted,
+    factored,
+    result_to_dict,
+)
+from sparsefactor.sparse_exp import sparse_exponent_factor, unity_root_recovery
+
+
+def ref_grid(n, k, v_max):
+    for a in itertools.chain((0,), sparse_values(k, v_max, False)):
+        for b in sparse_values(k, v_max, True):
+            f = a * n + b
+            if abs(f) > 1:
+                yield a, b, abs(f)
+
+
+def _digits(value):
+    return [[s, e] for s, e in naf(value).terms]
+
+
+def ref_sparse_exponent(n, budget, trials, seed, powers=None):
+    """The per-step loop for odd composite n; appends each x to powers."""
+    rng = random.Random(seed)
+    ops = 0
+    for trial in range(trials):
+        base = 2 if trial == 0 else rng.randrange(2, n - 1)
+        g = math.gcd(base, n)
+        if g > 1:
+            if g == n:
+                continue
+            cert = Certificate(METHOD_SPARSE_EXPONENT,
+                               {"kind": "lucky", "base": base, "divisor": g})
+            return factored(g, n // g, cert, ops)
+        x = base % n
+        steps = []
+        for step in ref_grid(n, budget.k, budget.v_max):
+            if ops >= budget.op_cap:
+                return exhausted(ops)
+            ops += 1
+            x = pow(x, step[2], n)
+            if powers is not None:
+                powers.append(x)
+            steps.append(step)
+            d, side = math.gcd(x - 1, n), -1
+            if d == n:
+                factors = [f for _, _, f in steps]
+                split = unity_root_recovery(base, factors, n)
+                if split is None:
+                    break
+                cert = Certificate(
+                    METHOD_SPARSE_EXPONENT,
+                    {"kind": "unity_root", "factors": factors, "base": base,
+                     "square_ups": split.square_ups})
+                return factored(split.p, split.q, cert, ops)
+            if d == 1:
+                d, side = math.gcd(x + 1, n), 1
+            if 1 < d < n:
+                cert = Certificate(
+                    METHOD_SPARSE_EXPONENT,
+                    {"kind": "grid",
+                     "trace": [[_digits(a), _digits(b)] for a, b, _ in steps],
+                     "base": base, "gcd_side": side,
+                     "exponent_bits": sum(f.bit_length() for _, _, f in steps)})
+                return factored(min(d, n // d), max(d, n // d), cert, ops)
+    return exhausted(ops)
+
+
+def _pair(n, k, v, trials, seed, cap):
+    budget = SearchBudget(k=k, v_max=v, t_max=4, op_cap=cap)
+    got = result_to_dict(sparse_exponent_factor(n, budget, trials, seed))
+    want = result_to_dict(ref_sparse_exponent(n, budget, trials, seed))
+    return got, want
+
+
+def _grid_size(n, k, v):
+    return sum(1 for _ in ref_grid(n, k, v))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4])
+def test_every_cap_matches_per_step_loop(trials):
+    # caps 1-150 cross the batch edges at 64 and 128; grids (k, v) of
+    # (2, 3), (2, 2) and (1, 3) hold 228, 63 and 42 steps, so runs go dry
+    # below, at and above a cap, and later bases start at any op count
+    rng = random.Random(900 + trials)
+    outcomes = set()
+    for k, v in ((2, 3), (2, 2), (1, 3)):
+        n, _, _ = random_semiprime(rng, rng.choice((24, 32, 40, 48)))
+        seed = rng.randint(0, 20)
+        for cap in range(1, 151):
+            got, want = _pair(n, k, v, trials, seed, cap)
+            assert got == want, (n, k, v, trials, seed, cap)
+            outcomes.add((got["status"], got["ops"] == cap, cap > 128))
+    # some run is capped past the second batch edge, some runs dry
+    assert ("Exhausted", True, True) in outcomes
+    assert ("Exhausted", False, True) in outcomes or trials == 4
+
+
+@pytest.mark.parametrize("case, ops", [
+    ((174591523, 3, 4, 1, 19), POW_BATCH),          # last step of batch 1
+    ((135301553, 3, 7, 1, 12), POW_BATCH + 1),      # first step of batch 2
+    ((2379707017, 2, 7, 1, 2), 2 * POW_BATCH),      # last step of batch 2
+    ((1506788879, 3, 5, 1, 2), 2 * POW_BATCH + 1),  # first step of batch 3
+])
+def test_hit_on_a_batch_edge(case, ops):
+    got, want = _pair(*case, 5000)
+    assert got == want
+    assert (got["ops"], got["witness"]["kind"]) == (ops, "grid")
+    for cap in (ops - 1, ops, ops + 1):
+        got, want = _pair(*case, cap)
+        assert got == want
+    assert got["status"] == "Factored"
+
+
+def test_unity_root_inside_a_replayed_batch():
+    case = (33227, 3, 6, 1, 18)
+    got, want = _pair(*case, 5000)
+    assert got == want
+    assert (got["ops"], got["witness"]["kind"]) == (95, "unity_root")
+    assert _pair(*case, 94)[0] == {"status": "Exhausted", "ops": 94}
+
+
+def test_minus_one_step_does_not_stop_the_walk():
+    # base 2 on F6 = 2^64 + 1: factors 2, 2, 4, 4 give x = 2^64 = -1 (mod
+    # N), and so does the next factor N; the factor N + 1 then gives
+    # x = 1, unity recovery meets -1 and abandons the base, and the second
+    # base, whose batches count from its own first step, splits N at op 16
+    n = (1 << 64) + 1
+    powers = []
+    budget = SearchBudget(k=1, v_max=2, t_max=4, op_cap=5000)
+    ref_sparse_exponent(n, budget, 2, 0, powers)
+    assert powers[3] == powers[4] == n - 1 and powers[5] == 1
+    for trials in (1, 2):
+        for cap in (4, 5, 6, 7, 16, 5000):
+            got, want = _pair(n, 1, 2, trials, 0, cap)
+            assert got == want
+    assert got["ops"] == 16 and got["witness"]["kind"] == "grid"
+
+
+@pytest.mark.parametrize("case", [(11021, 1, 3, 2, 0), (26989, 1, 1, 2, 5)])
+def test_grid_dry_exactly_at_the_cap_moves_to_the_next_base(case):
+    # base 2 walks the whole grid without a split; at a cap equal to the
+    # grid size the next base still gets its lucky gcd check
+    n, k, v, trials, seed = case
+    size = _grid_size(n, k, v)
+    got, want = _pair(n, k, v, trials, seed, size)
+    assert got == want
+    assert (got["ops"], got["witness"]["kind"]) == (size, "lucky")
+    assert _pair(n, k, v, 1, seed, size)[0] == {"status": "Exhausted",
+                                                "ops": size}
+    assert _pair(n, k, v, trials, seed, size - 1)[0] == {
+        "status": "Exhausted", "ops": size - 1}
+
+
+@pytest.mark.parametrize("case", [(460631, 2, 2, 4, 0), (660571, 2, 2, 2, 5)])
+def test_plus_side_hit_ending_a_batch(case):
+    # the split at op 5 has x = -1 modulo one prime; with the cap at 5 the
+    # batch ends on that step, so its last value is -1 mod p, not 1
+    for cap in range(1, 12):
+        got, want = _pair(*case, cap)
+        assert got == want
+    got = _pair(*case, 5)[0]
+    assert (got["ops"], got["witness"]["gcd_side"]) == (5, 1)

@@ -30,6 +30,8 @@ def test_spec_validation():
         WeakClassSpec("g", k=0)
     with pytest.raises(ValueError):
         WeakClassSpec("c", eps_num=1, eps_den=4)  # epsilon must be < 1/4
+    with pytest.raises(ValueError, match="v_max"):
+        WeakClassSpec("g", v_max=-1)
 
 
 @pytest.mark.parametrize("class_id,bits,kwargs", [
@@ -70,6 +72,18 @@ def test_generate_class_b_gap():
     rows = generate_weak(WeakClassSpec("b"), 64, 5, seed=2)
     for n, p, q, _ in rows:
         assert q - p <= iroot(n, 4)
+
+
+def test_random_sparse_stays_within_v_max():
+    # max_weight 3 at v_max 3 once fell back to 2^0 +- 2^2 +- 2^4
+    rng = random.Random(5)
+    for max_weight in (1, 2, 3, 4):
+        for v_max in range(0, 9):
+            for _ in range(300):
+                val = weakset._random_sparse(rng, max_weight, v_max)
+                terms = naf(val).terms
+                assert val > 0 and terms[0][0] == 1
+                assert terms[0][1] <= v_max and len(terms) <= max_weight
 
 
 def test_generate_infeasible():
