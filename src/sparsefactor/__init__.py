@@ -6,33 +6,13 @@ baselines.  Around them: a weak-instance generator/auditor and exact
 density counters for desk-scale experiments.
 """
 
-from .arith import (
-    gcd,
-    iroot,
-    is_probable_prime,
-    isqrt,
-    mod_pow,
-    multiplicative_order_small,
-    perfect_square,
-    pollard_pm1,
-    trial_division,
-    z_count,
-)
-from .expansions import (
-    SparseInt,
-    cardinality_bound,
-    enumerate_sparse,
-    naf,
-    naf_weight_stats,
-    value_of,
-    weight,
-)
+from .arith import pollard_pm1, trial_division, z_count
+from .expansions import naf, naf_weight_stats, weight
 from .fermat import (
     bsgs_fermat,
     classic_fermat,
     extended_fermat_offset,
     extended_fermat_sparse,
-    solve_quadratic_from_sum,
     step_count_bound,
 )
 from .model import (
@@ -46,13 +26,8 @@ from .model import (
     result_to_json,
     verify_certificate,
 )
-from .sparse_diff import discriminant_root, roots_from_discriminant, sparse_difference_factor
-from .sparse_exp import (
-    cyclotomic_form_factor,
-    germain_factor,
-    sparse_exponent_factor,
-    unity_root_recovery,
-)
+from .sparse_diff import sparse_difference_factor
+from .sparse_exp import cyclotomic_form_factor, germain_factor, sparse_exponent_factor
 from .weakset import (
     WeakClassSpec,
     audit,
@@ -70,43 +45,28 @@ __all__ = [
     "GenerationError",
     "LowOrderBaseError",
     "SearchBudget",
-    "SparseInt",
     "WeakClassReport",
     "WeakClassSpec",
     "audit",
     "balanced_bounds_check",
     "bsgs_fermat",
-    "cardinality_bound",
     "classic_fermat",
     "cyclotomic_form_factor",
-    "discriminant_root",
-    "enumerate_sparse",
     "extended_fermat_offset",
     "extended_fermat_sparse",
     "fermat_count",
-    "gcd",
     "generate_weak",
     "germain_factor",
-    "iroot",
-    "is_probable_prime",
-    "isqrt",
-    "mod_pow",
-    "multiplicative_order_small",
     "naf",
     "naf_weight_stats",
-    "perfect_square",
     "pollard_pm1",
     "result_from_json",
     "result_to_json",
     "romanoff_count",
-    "roots_from_discriminant",
-    "solve_quadratic_from_sum",
     "sparse_difference_factor",
     "sparse_exponent_factor",
     "step_count_bound",
     "trial_division",
-    "unity_root_recovery",
-    "value_of",
     "verify_certificate",
     "weight",
     "z_count",

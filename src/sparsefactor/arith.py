@@ -22,11 +22,6 @@ from .model import (
 )
 
 
-def isqrt(n: int) -> int:
-    """Floor square root; exact for any nonnegative integer."""
-    return math.isqrt(n)
-
-
 def isqrt_ceil(n: int) -> int:
     r = math.isqrt(n)
     return r if r * r == n else r + 1
@@ -170,19 +165,6 @@ class SquareSieve:
         return perfect_square(x * x - self.c)
 
 
-def mod_pow(base: int, exp: int, m: int) -> int:
-    """base**exp mod m for m >= 2; 0**0 defined as 1."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if exp < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exp, m)
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # These twelve bases decide primality for every n < 3.3e24, which covers
@@ -237,89 +219,6 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
     return tuple(i for i in range(2, limit + 1) if sieve[i])
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    # Brent's cycle variant; n odd composite, returns a nontrivial factor.
-    while True:
-        y = rng.randrange(1, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _factorize(n: int, seed: int = 1) -> dict[int, int]:
-    """Complete factorization of n < 2**64-ish; trial division plus rho."""
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while d * d <= n and d < 1 << 16:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += wheel[i]
-        i = (i + 1) % 8
-    if n == 1:
-        return out
-    rng = random.Random(seed)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        g = _pollard_rho(m, rng)
-        stack.append(g)
-        stack.append(m // g)
-    return out
-
-
-def multiplicative_order_small(t: int, n: int) -> int:
-    """Least e >= 1 with t**e == 1 (mod n); n odd and below 2**64."""
-    if n < 1 or n >= 1 << 64 or n % 2 == 0:
-        raise ValueError("modulus must be odd and below 2**64")
-    t %= n
-    if math.gcd(t, n) != 1:
-        raise ValueError("not a unit")
-    if n == 1:
-        return 1
-    # group exponent lambda(n) = lcm over prime-power components
-    lam = 1
-    for p, e in _factorize(n).items():
-        lam = math.lcm(lam, p ** (e - 1) * (p - 1))
-    order = lam
-    for p in _factorize(lam):
-        while order % p == 0 and pow(t, order // p, n) == 1:
-            order //= p
-    return order
 
 
 def z_count(n: int) -> int:

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import weakset
@@ -134,11 +134,8 @@ def _bsgs_with_retries(n: int, seed: int,
 def _auto_cascade(n: int, budget: SearchBudget, args) -> FactorResult:
     if is_probable_prime(n, budget.seed):
         return probable_prime()
-    stage_cap = min(budget.op_cap, 250_000)
-    quick = SearchBudget(k=min(budget.k, 3), v_max=budget.v_max,
-                         t_max=min(budget.t_max, 4096),
-                         multipliers=budget.multipliers, op_cap=stage_cap,
-                         seed=budget.seed)
+    quick = replace(budget, k=min(budget.k, 3), t_max=min(budget.t_max, 4096),
+                    op_cap=min(budget.op_cap, 250_000))
     result = trial_division(n, 10_000)
     if result.factored:
         return result
@@ -393,6 +390,19 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+# Search flags; each subcommand takes the ones it reads.
+_BUDGET_FLAGS = {
+    "--k": dict(type=int, help="max sparse weight (nonzero signed digits)"),
+    "--vmax": dict(type=int, help="max digit position in bits"),
+    "--tmax": dict(type=int, help="max residual offset for the Fermat scans"),
+    "--budget": dict(type=int, help="hard cap on elementary search steps"),
+    "--multipliers": dict(
+        help="comma-separated multiplier list, e.g. 1,2,4,8"),
+    "--seed": dict(type=int,
+                   help="RNG seed (falls back to SPARSEFACTOR_SEED)"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parse_args keeps no state."""
@@ -401,19 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="factor balanced semiprimes with sparse additive structure")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget_flags(p):
-        p.add_argument("--k", type=int, default=None,
-                       help="max sparse weight (nonzero signed digits)")
-        p.add_argument("--vmax", type=int, default=None,
-                       help="max digit position in bits")
-        p.add_argument("--tmax", type=int, default=None,
-                       help="max residual offset for the Fermat scans")
-        p.add_argument("--budget", type=int, default=None,
-                       help="hard cap on elementary search steps")
-        p.add_argument("--multipliers", default=None,
-                       help="comma-separated multiplier list, e.g. 1,2,4,8")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (falls back to SPARSEFACTOR_SEED)")
+    def add_budget_flags(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_BUDGET_FLAGS[flag])
 
     p = sub.add_parser("factor", help="factor one integer")
     p.add_argument("n", help="decimal or 0x-prefixed hex integer")
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--workers", type=int, default=1,
                    help="ignored: the search runs in one thread")
-    add_budget_flags(p)
+    add_budget_flags(p, *_BUDGET_FLAGS)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("generate", help="emit weak balanced semiprimes")
@@ -435,13 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("text", "jsonl"), default="text")
-    add_budget_flags(p)
+    add_budget_flags(p, "--k", "--vmax", "--seed")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("audit", help="classify records from a corpus file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--json", action="store_true")
-    add_budget_flags(p)
+    add_budget_flags(p, "--k", "--seed")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("density", help="counting-function tables")
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="timed engine comparisons")
     p.add_argument("--suite", choices=("desk", "example6", "f5", "germain",
                                        "density"), default="desk")
-    p.add_argument("--seed", type=int, default=None)
+    add_budget_flags(p, "--seed")
     p.set_defaults(func=cmd_bench)
 
     return parser

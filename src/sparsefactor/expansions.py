@@ -79,13 +79,6 @@ def weight(n: int) -> int:
     return (m ^ 3 * m).bit_count()
 
 
-def cardinality_bound(k: int, v: int) -> int:
-    """(2v)**k, the coarse upper bound on the size of the sparse grid."""
-    if k < 1 or v < 1:
-        raise ValueError("need k >= 1 and v >= 1")
-    return (2 * v) ** k
-
-
 # A NAF led by 2^e is below 2^(e+2)/3, and 2^64/3 < 2^63: up to this v_max
 # every stream value, and every intermediate 2^e +- x, fits in int64.
 _INT64_VMAX = 62
@@ -152,22 +145,14 @@ def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[np.ndarray]:
 
 
 def sparse_values(k: int, v_max: int, signed: bool) -> Iterator[int]:
-    """Canonical value stream of Python ints; the backbone of enumerate_sparse."""
+    """Every value whose NAF has weight <= k and exponents <= v_max, as
+    Python ints, once each, in the canonical order: weight, then |value|,
+    then positive first.  Element i is a pure function of (k, v_max, i).
+    """
     if k < 1 or v_max < 0:
         raise ValueError("need k >= 1 and v_max >= 0")
     for run in _stream_runs(k, v_max, signed):
         yield from run.tolist()
-
-
-def enumerate_sparse(k: int, v_max: int,
-                     include_negative_values: bool) -> Iterator[SparseInt]:
-    """Every canonical SparseInt with weight <= k and exponents <= v_max.
-
-    Emitted exactly once each, ordered by (weight, |value|, sign with
-    positive first).  Element i is a pure function of (k, v_max, i).
-    """
-    for val in sparse_values(k, v_max, include_negative_values):
-        yield naf(val)
 
 
 def stream_length(k: int, v_max: int, signed: bool) -> int:

@@ -16,7 +16,7 @@ import math
 from typing import Optional
 
 from . import expansions
-from .arith import SIEVE_BLOCK, SquareSieve, iroot, isqrt, isqrt_ceil, perfect_square
+from .arith import SIEVE_BLOCK, SquareSieve, iroot, isqrt_ceil, perfect_square
 from .model import (
     Certificate,
     FactorResult,
@@ -25,11 +25,11 @@ from .model import (
     METHOD_CLASSIC_FERMAT,
     METHOD_EXTENDED_FERMAT_OFFSET,
     METHOD_EXTENDED_FERMAT_SPARSE,
-    METHOD_TRIAL_DIVISION,
     SearchBudget,
     exhausted,
     factored,
     trivial_input,
+    trivial_or_even,
 )
 
 
@@ -72,13 +72,13 @@ def step_count_bound(n: int, p: int) -> int:
         raise ValueError("p must be a nontrivial divisor of n")
     if p * p > n:
         raise ValueError("need p <= sqrt(n)")
-    d = isqrt(n) - p
+    d = math.isqrt(n) - p
     return -(-d * d // p)
 
 
 def sum_anchor(n: int, a: int) -> Optional[int]:
     """X_a, or None when the shifted base leaves the valid range."""
-    base = isqrt(n) + a * iroot(n, 4)
+    base = math.isqrt(n) + a * iroot(n, 4)
     if base <= 0:
         return None
     return base + n // base
@@ -128,12 +128,9 @@ def extended_fermat_offset(n: int, a: int, t_max: int) -> FactorResult:
 
 def extended_fermat_sparse(n: int, budget: SearchBudget) -> FactorResult:
     """Iterate sparse coefficients a in canonical order, offset-scanning each."""
-    if n < 3:
-        return trivial_input()
-    if n % 2 == 0:
-        cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": 2})
-        return factored(2, n // 2, cert, 0)
-    s0 = isqrt(n)
+    if (early := trivial_or_even(n)) is not None:
+        return early
+    s0 = math.isqrt(n)
     f0 = iroot(n, 4)
     sieve = SquareSieve(4 * n)
     ops = 0
@@ -177,11 +174,12 @@ def solve_quadratic_from_sum(n: int, s: int) -> Optional[tuple[int, int]]:
 def balanced_window(n: int) -> tuple[int, int]:
     """Default sum window [2*ceil(sqrt(N)), sqrt(4.5*N)) for p < q < 2p."""
     lo = 2 * isqrt_ceil(n)
-    hi = isqrt(9 * n // 2) + 2
+    hi = math.isqrt(9 * n // 2) + 2
     return lo, max(hi, lo + 1)
 
 
-_FALLBACK_WIDTH_CAP = 1 << 40  # keeps the baby table at most ~2^20 entries
+# Widest default window: keeps the baby table at most 2^20 entries.
+_WIDTH_CAP = 1 << 40
 
 
 def _capped_steps(room: int) -> tuple[int, int]:
@@ -204,9 +202,12 @@ def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
     validates each hit by the square test on s^2 - 4N, which screens out
     matches caused by small multiplicative order.  ops counts modular
     multiplications (modular powers at 2 bits each) plus validations.
-    Under an op_cap below the full search's cost, m shrinks so that the
-    table, both powers and the giant steps fit, and only a prefix of the
-    window is searched; ops never exceeds op_cap.
+    A default window is cut to its first _WIDTH_CAP sums (a balanced
+    window is that wide above about 2^86), so with or without a cap the
+    table holds at most 2^20 entries.  Under an op_cap below the full
+    search's cost, m shrinks so that the table, both powers and the giant
+    steps fit, and only a prefix of the window is searched; ops never
+    exceeds op_cap.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd n >= 3")
@@ -222,8 +223,8 @@ def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
             lo, hi = balanced_window(n)
         else:
             lo = 2 * isqrt_ceil(n)
-            hi = min((n + 9) // 6 + 1, lo + _FALLBACK_WIDTH_CAP)
-            hi = max(hi, lo + 1)
+            hi = max((n + 9) // 6 + 1, lo + 1)
+        hi = min(hi, lo + _WIDTH_CAP)
     else:
         lo, hi = window
         if hi <= lo:

@@ -9,6 +9,7 @@ round trips are exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -97,6 +98,17 @@ def trivial_input(ops: int = 0) -> FactorResult:
     return FactorResult(STATUS_TRIVIAL_INPUT, None, None, ops)
 
 
+def trivial_or_even(n: int) -> Optional[FactorResult]:
+    """The sparse engines' answer for n < 3 or an even n, before any search;
+    None for an odd n >= 3."""
+    if n < 3:
+        return trivial_input()
+    if n % 2 == 0:
+        cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": 2})
+        return factored(2, n // 2, cert, 0)
+    return None
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Shared parameterization of all sparse search engines.
@@ -183,10 +195,6 @@ def _decode_value(key, value):
     if isinstance(value, dict):
         return {k: _decode_value(k, v) for k, v in value.items()}
     return value
-
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {"method": cert.method, "witness": _encode_value("witness", cert.witness)}
 
 
 def certificate_from_dict(data: dict) -> Certificate:
@@ -296,7 +304,7 @@ def _verify(n: int, cert: Certificate) -> bool:
             return False
         if "a" in w and "t" in w:
             # re-derive the offset-scan anchor
-            base = arith.isqrt(n) + int(w["a"]) * arith.iroot(n, 4)
+            base = math.isqrt(n) + int(w["a"]) * arith.iroot(n, 4)
             if base <= 0 or base + n // base + int(w["t"]) != x:
                 return False
         if "digits" in w:
@@ -317,8 +325,7 @@ def _verify(n: int, cert: Certificate) -> bool:
         u = int(w["u"])
         if (a + r) % 2 or u not in ((a + r) // 2, abs(a - r) // 2):
             return False
-        from math import gcd
-        g = gcd(u, n)
+        g = math.gcd(u, n)
         return 1 < g < n and n % g == 0
 
     if method == METHOD_SPARSE_EXPONENT:
@@ -336,8 +343,6 @@ def _verify(n: int, cert: Certificate) -> bool:
 
 
 def _verify_sparse_exponent(n: int, w: dict) -> bool:
-    from math import gcd
-
     from . import expansions
 
     kind = w.get("kind", "grid")
@@ -345,16 +350,16 @@ def _verify_sparse_exponent(n: int, w: dict) -> bool:
 
     if kind == "lucky":
         d = int(w["divisor"])
-        return 1 < d < n and n % d == 0 and gcd(base, n) == d
+        return 1 < d < n and n % d == 0 and math.gcd(base, n) == d
 
     if kind == "germain":
         e = 2 * int(w["multiple"]) * n
-        d = gcd(pow(base, e, n) - 1, n)
+        d = math.gcd(pow(base, e, n) - 1, n)
         return 1 < d < n and n % d == 0
 
     if kind == "cyclotomic":
         e = (n - 1) * int(w["a"]) + int(w["period"]) * int(w["b"])
-        d = gcd(pow(base, abs(e), n) - 1, n)
+        d = math.gcd(pow(base, abs(e), n) - 1, n)
         return 1 < d < n and n % d == 0
 
     if kind == "grid":
@@ -369,7 +374,7 @@ def _verify_sparse_exponent(n: int, w: dict) -> bool:
                 return False
             power = pow(power, abs(f), n)
         side = int(w.get("gcd_side", -1))
-        d = gcd(power + 1, n) if side == 1 else gcd(power - 1, n)
+        d = math.gcd(power + 1, n) if side == 1 else math.gcd(power - 1, n)
         return 1 < d < n and n % d == 0
 
     if kind == "unity_root":
@@ -385,7 +390,7 @@ def _verify_sparse_exponent(n: int, w: dict) -> bool:
             power = power * power % n
         if power in (1, n - 1) or power * power % n != 1:
             return False
-        d = gcd(power - 1, n)
+        d = math.gcd(power - 1, n)
         return 1 < d < n and n % d == 0
 
     return False

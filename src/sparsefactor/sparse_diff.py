@@ -15,17 +15,16 @@ from typing import Optional
 import numpy as np
 
 from . import expansions
-from .arith import SIEVE_MODULUS, SquareSieve, is_probable_prime, isqrt_ceil, perfect_square
+from .arith import SIEVE_MODULUS, SquareSieve, is_probable_prime, isqrt_ceil
 from .model import (
     Certificate,
     FactorResult,
     METHOD_SPARSE_DIFFERENCE,
-    METHOD_TRIAL_DIVISION,
     SearchBudget,
     exhausted,
     factored,
     probable_prime,
-    trivial_input,
+    trivial_or_even,
 )
 
 # (sign of aU, sign of bN) in the fixed probe order.
@@ -33,16 +32,6 @@ SIGN_PATTERNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 # Values taken from the stream per sieve call.
 _CHUNK = 2048
-
-
-def discriminant_root(a: int, b: int, n: int, sign: int) -> Optional[int]:
-    """Square root of a^2 + sign*4bN when that value is a perfect square."""
-    if a < 1 or b < 1:
-        raise ValueError("need a >= 1 and b >= 1")
-    disc = a * a + 4 * b * n if sign > 0 else a * a - 4 * b * n
-    if disc < 0:
-        return None
-    return perfect_square(disc)
 
 
 def _extract(a: int, r: int, n: int) -> Optional[tuple[int, int, int]]:
@@ -57,16 +46,6 @@ def _extract(a: int, r: int, n: int) -> Optional[tuple[int, int, int]]:
         if 1 < g < n:
             return g, n // g, u
     return None
-
-
-def roots_from_discriminant(a: int, b: int, n: int, sign: int,
-                            r: int) -> Optional[tuple[int, int]]:
-    """Recover a factor pair of n from a square discriminant root r."""
-    hit = _extract(a, r, n)
-    if hit is None:
-        return None
-    p, q, _ = hit
-    return (p, q) if p <= q else (q, p)
 
 
 def _chunks(runs):
@@ -99,11 +78,8 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
     The (-1, .) patterns repeat the discriminants of (1, .) and recover the
     same roots, so they are counted but never tested.
     """
-    if n < 3:
-        return trivial_input()
-    if n % 2 == 0:
-        cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": 2})
-        return factored(2, n // 2, cert, 0)
+    if (early := trivial_or_even(n)) is not None:
+        return early
     if is_probable_prime(n, budget.seed):
         return probable_prime()
     cap = budget.op_cap

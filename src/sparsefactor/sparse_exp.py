@@ -24,12 +24,11 @@ from .model import (
     Certificate,
     FactorResult,
     METHOD_SPARSE_EXPONENT,
-    METHOD_TRIAL_DIVISION,
     SearchBudget,
     exhausted,
     factored,
     probable_prime,
-    trivial_input,
+    trivial_or_even,
 )
 
 
@@ -94,11 +93,8 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if n < 3:
-        return trivial_input()
-    if n % 2 == 0:
-        cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": 2})
-        return factored(2, n // 2, cert, 0)
+    if (early := trivial_or_even(n)) is not None:
+        return early
     if is_probable_prime(n, seed):
         return probable_prime()
     rng = random.Random(seed)
@@ -233,12 +229,15 @@ def cyclotomic_form_factor(n: int, form: tuple[str, int],
     soon as the linear condition lands.
     """
     kind, param = form
+    # bit lengths first: 2^r or 2^(2^m) for a large parameter is too big
+    # to build
     if kind == "mersenne":
-        if n != (1 << param) - 1:
+        if n.bit_length() != param or n != (1 << param) - 1:
             raise ValueError("form mismatch")
         period = 2 * param
     elif kind == "fermat":
-        if n != (1 << (1 << param)) + 1:
+        if ((n.bit_length() - 1).bit_length() != param + 1
+                or n != (1 << (1 << param)) + 1):
             raise ValueError("form mismatch")
         period = 1 << (param + 2)
     else:

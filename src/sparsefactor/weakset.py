@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from . import fermat, sparse_diff
-from .arith import iroot, isqrt, is_probable_prime, pollard_pm1, small_primes
+from .arith import iroot, is_probable_prime, pollard_pm1, small_primes
 from .expansions import naf, weight
 from .model import (
     GenerationError,
@@ -166,7 +166,7 @@ def _gen_b(rng, bits, spec):
 def _anchored_pair(rng, bits, offset):
     """Primes u (near sqrt(scale) + offset) and v (cofactor); n = u*v."""
     scale = 1 << (bits - 1)
-    s0 = isqrt(scale)
+    s0 = math.isqrt(scale)
     u = _prime_at_or_above(s0 + offset)
     v = _prime_at_or_above(scale // u - rng.randrange(1 << 6))
     return u * v, min(u, v), max(u, v)
@@ -207,14 +207,14 @@ def _gen_f(rng, bits, spec):
     if v < 1:
         return None
     scale = 1 << (bits - 1)
-    s0 = isqrt(scale)
+    s0 = math.isqrt(scale)
     f0 = iroot(scale, 4)
     r = _random_sparse(rng, spec.k, v)
     sigma = 2 * s0 + r * f0 + rng.randrange(-(1 << 6), 1 << 6)
     disc = sigma * sigma - 4 * scale
     if disc < 0:
         return None
-    p = _prime_at_or_above((sigma - isqrt(disc)) // 2)
+    p = _prime_at_or_above((sigma - math.isqrt(disc)) // 2)
     q = _prime_at_or_above(sigma - p)
     n = p * q
     if not _balanced(p, q):
@@ -292,7 +292,7 @@ def _audit_budget(bits: int, spec: WeakClassSpec) -> SearchBudget:
 
 def _decompose_factor(n, p, q, k):
     """Sparse (a, b) location of a factor around sqrt(N), or None."""
-    s0 = isqrt(n)
+    s0 = math.isqrt(n)
     f0 = iroot(n, 4)
     best = None
     for side, f in (("p", p), ("q", q)):
@@ -311,7 +311,7 @@ def _decompose_factor(n, p, q, k):
 
 
 def _decompose_eps(n, p, q, num, den):
-    s0 = isqrt(n)
+    s0 = math.isqrt(n)
     f0 = iroot(n, 4)
     for side, f in (("p", p), ("q", q)):
         a = _nearest_quotient(f - s0, f0)
@@ -324,7 +324,7 @@ def _decompose_eps(n, p, q, num, den):
 
 
 def _decompose_sum(n, p, q, k):
-    s0 = isqrt(n)
+    s0 = math.isqrt(n)
     f0 = iroot(n, 4)
     delta = p + q - 2 * s0
     r = _nearest_quotient(delta, f0)
@@ -369,7 +369,7 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
         raise ValueError("claimed factors do not multiply to n")
     classes: set[str] = set()
     witnesses: dict = {}
-    s0 = isqrt(n)
+    s0 = math.isqrt(n)
     f0 = iroot(n, 4)
 
     if q - p <= f0:
@@ -421,17 +421,12 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
 
 
 def _audit_blind(n, budget, smoothness_bound, eps):
-    capped = SearchBudget(k=min(budget.k, 3), v_max=budget.v_max,
-                          t_max=min(budget.t_max, 1 << 12),
-                          multipliers=budget.multipliers,
-                          op_cap=min(budget.op_cap, 200_000),
-                          seed=budget.seed)
+    capped = replace(budget, k=min(budget.k, 3),
+                     t_max=min(budget.t_max, 1 << 12),
+                     op_cap=min(budget.op_cap, 200_000))
     # sparse differences live at the sqrt(N) scale, twice the coefficient
     # exponent range the other engines use
-    diff_budget = SearchBudget(k=capped.k, v_max=n.bit_length() // 2 + 1,
-                               t_max=capped.t_max,
-                               multipliers=capped.multipliers,
-                               op_cap=capped.op_cap, seed=capped.seed)
+    diff_budget = replace(capped, v_max=n.bit_length() // 2 + 1)
     # whichever engine splits n, only the known-factor audit decides the
     # classes: a BSGS or multiplier split says nothing about q - p
     attempts = [
@@ -441,7 +436,7 @@ def _audit_blind(n, budget, smoothness_bound, eps):
         lambda: pollard_pm1(n, min(smoothness_bound, 100_000)),
     ]
     if n < 1 << 56:  # keep the baby-step table desk-sized
-        attempts.append(lambda: _bsgs_guarded(n))
+        attempts.append(lambda: fermat.bsgs_fermat(n, 2))
     for run in attempts:
         try:
             result = run()
@@ -457,10 +452,6 @@ def _audit_blind(n, budget, smoothness_bound, eps):
     return WeakClassReport(frozenset(),
                            {"meta": {"note": "not detected under budget"}},
                            budget)
-
-
-def _bsgs_guarded(n):
-    return fermat.bsgs_fermat(n, 2, balanced_hint=True)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from sparsefactor import cli, weakset
 from sparsefactor.arith import (
     iroot,
     is_probable_prime,
-    isqrt,
     pollard_pm1,
     trial_division,
     z_count,
@@ -213,7 +212,7 @@ def test_criterion_7_density_claims():
 
 
 def _least_factor(n):
-    r = trial_division(n, isqrt(n))
+    r = trial_division(n, math.isqrt(n))
     return r.factors[0] if r.factored else None
 
 
@@ -278,9 +277,9 @@ def test_criterion_8_engine_agreement_and_z_count():
         assert z_count(n) == -(-divisors[n] // 2), n
     for _ in range(3000):
         n = rng.randrange(limit, 1 << 16) | 1
-        count = sum(1 for d in range(1, isqrt(n) + 1) if n % d == 0)
+        count = sum(1 for d in range(1, math.isqrt(n) + 1) if n % d == 0)
         pairs = count  # divisors below sqrt pair with those above
-        if isqrt(n) ** 2 == n:
+        if math.isqrt(n) ** 2 == n:
             total = 2 * count - 1
         else:
             total = 2 * count

@@ -7,21 +7,6 @@ from sparsefactor import arith
 from sparsefactor.model import verify_certificate
 
 
-def test_isqrt_known_values():
-    assert arith.isqrt(448316072600119) == 21173475
-    assert arith.isqrt(0) == 0
-    assert arith.isqrt(2881) == 53
-    assert 53 * 53 <= 2881 < 54 * 54
-
-
-def test_isqrt_floor_property():
-    rng = random.Random(1)
-    for _ in range(300):
-        n = rng.getrandbits(rng.randrange(1, 300))
-        r = arith.isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
-
-
 def test_iroot_known_values():
     assert arith.iroot(448316072600119, 4) == 4601
     assert arith.iroot(16, 4) == 2
@@ -66,32 +51,6 @@ def test_perfect_square_large_random():
         assert arith.perfect_square(r * r + 1) in (None, 1)  # 1 only for r=0
 
 
-def test_mod_pow_crt_oracle():
-    # 253 = 11 * 23: reconstruct 2^506 mod 253 from the prime parts
-    r11 = pow(2, 506 % 10, 11)
-    r23 = pow(2, 506 % 22, 23)
-    combined = next(x for x in range(253) if x % 11 == r11 and x % 23 == r23)
-    assert combined == 185
-    assert arith.mod_pow(2, 506, 253) == 185
-
-
-def test_mod_pow_edges():
-    assert arith.mod_pow(0, 0, 5) == 1
-    assert arith.mod_pow(7, 0, 13) == 1
-    assert arith.mod_pow(2, 10, 1024) == 0
-    with pytest.raises(ValueError):
-        arith.mod_pow(2, 3, 1)
-    with pytest.raises(ValueError):
-        arith.mod_pow(2, -1, 7)
-
-
-def test_gcd():
-    assert arith.gcd(184, 253) == 23
-    assert 184 == 8 * 23 and 253 == 11 * 23
-    assert arith.gcd(0, 7) == 7
-    assert arith.gcd(12, 18) == 6
-
-
 def test_is_probable_prime_known():
     assert arith.is_probable_prime(15402707)
     assert arith.is_probable_prime(6700417)
@@ -117,48 +76,6 @@ def test_is_probable_prime_above_word_size():
     p = 2 ** 89 - 1  # Mersenne prime
     assert arith.is_probable_prime(p)
     assert not arith.is_probable_prime(p * ((1 << 61) - 1))
-
-
-def test_multiplicative_order_known():
-    assert arith.multiplicative_order_small(2, 10403) == 5100
-    assert math.lcm(100, 51) == 5100  # orders mod 101 and 103
-    assert arith.multiplicative_order_small(2, 7) == 3
-    assert arith.multiplicative_order_small(2, 15) == 4
-
-
-def test_multiplicative_order_brute_oracle():
-    def brute_order(t, n):
-        x, e = t % n, 1
-        while x != 1:
-            x = x * t % n
-            e += 1
-        return e
-
-    for n in range(3, 1000, 2):
-        for t in (2, 3, 7, 10):
-            if math.gcd(t, n) != 1:
-                continue
-            assert arith.multiplicative_order_small(t, n) == brute_order(t, n)
-
-
-def test_multiplicative_order_errors():
-    with pytest.raises(ValueError, match="not a unit"):
-        arith.multiplicative_order_small(3, 9)
-    with pytest.raises(ValueError):
-        arith.multiplicative_order_small(2, 10)
-
-
-def test_order_divides_no_smaller_sampled():
-    rng = random.Random(4)
-    for _ in range(60):
-        n = rng.randrange(3, 10 ** 4) | 1
-        t = rng.randrange(2, n)
-        if math.gcd(t, n) != 1:
-            continue
-        e = arith.multiplicative_order_small(t, n)
-        assert pow(t, e, n) == 1
-        for d in range(1, min(e, 50)):
-            assert pow(t, d, n) != 1 or d == e
 
 
 def _divisor_count(n):

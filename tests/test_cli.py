@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -228,7 +231,8 @@ def test_workers_reproduce_certificates(argv, code, status, capsys):
 
 @pytest.mark.parametrize("budget", [1, 1000])
 @pytest.mark.parametrize("method", ["fermat", "xfermat", "bsgs",
-                                    "sparsediff", "sparseexp"])
+                                    "sparsediff", "sparseexp", "trial",
+                                    "pm1"])
 def test_single_method_ops_within_budget(method, budget, capsys):
     # the reference N needs 2,401 classic steps, more than either budget
     code, out, _ = run_cli(capsys, "factor", "448316072600119", "--method",
@@ -251,6 +255,28 @@ def test_bsgs_budget_bounds_a_122_bit_window(capsys):
     code, out, _ = run_cli(capsys, "factor", "15", "--method", "bsgs",
                            "--budget", "1")
     assert code == 1 and "Exhausted after 0 ops" in out
+
+
+def test_uncapped_bsgs_bounds_a_122_bit_window():
+    # without --budget the window is cut to 2^40 sums (m = 2^20), not the
+    # m ~ 5.1e8 of the whole balanced window; the child runs under a 1 GiB
+    # address-space limit, so a table that grows past it fails the test
+    # rather than the machine
+    n = 1729382256910270481 * 2594073385365405751
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from sparsefactor import cli; sys.exit(cli.main("
+            f"['factor', '{n}', '--method', 'bsgs', '--json']))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - started < 10.0
+    assert proc.returncode == 1 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "Exhausted"
+    assert payload["ops"] == 2_097_437
 
 
 def test_usage_error_exit(capsys):
@@ -302,6 +328,9 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["generate", "--class", "b", "--bits", "64", "--count", "1", "--k", "0"],
      64),
     (["generate", "--class", "g", "--bits", "64", "--vmax", "-1"], 64),
+    (["factor", "2047", "--method", "sparseexp", "--form", "fermat:100"], 64),
+    (["factor", "2047", "--method", "sparseexp", "--form",
+      "mersenne:99999999999999999999"], 64),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     corpus = tmp_path / "small.txt"

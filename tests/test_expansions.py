@@ -9,8 +9,6 @@ import pytest
 from sparsefactor import expansions
 from sparsefactor.expansions import (
     SparseInt,
-    cardinality_bound,
-    enumerate_sparse,
     naf,
     naf_weight_stats,
     sparse_values,
@@ -88,24 +86,15 @@ def test_naf_is_minimum_weight():
         assert weight(n) == _min_signed_weight(n)
 
 
-def test_cardinality_bound():
-    assert cardinality_bound(1, 1) == 2
-    assert cardinality_bound(2, 3) == 36
-    assert cardinality_bound(5, 12) == 24 ** 5 == 7962624
-    with pytest.raises(ValueError):
-        cardinality_bound(0, 3)
-
-
 def test_stream_first_values():
-    first = list(itertools.islice(
-        (value_of(s) for s in enumerate_sparse(1, 2, False)), 3))
+    first = list(itertools.islice(sparse_values(1, 2, False), 3))
     assert first == [1, 2, 4]
     signed = list(itertools.islice(sparse_values(2, 3, True), 7))
     assert signed == [0, 1, -1, 2, -2, 4, -4]
 
 
 def test_stream_canonical_once():
-    vals = [value_of(s) for s in enumerate_sparse(2, 3, False)]
+    vals = list(sparse_values(2, 3, False))
     assert vals.count(5) == 1
 
 
@@ -129,7 +118,7 @@ def _filter_oracle(k, v, signed):
     (1, 4, True), (2, 6, True), (3, 8, True),
 ])
 def test_stream_matches_filter_oracle(k, v, signed):
-    got = [value_of(s) for s in enumerate_sparse(k, v, signed)]
+    got = list(sparse_values(k, v, signed))
     assert len(got) == len(set(got)), "duplicates in stream"
     assert set(got) == _filter_oracle(k, v, signed)
     assert len(got) == stream_length(k, v, signed)
@@ -149,8 +138,6 @@ def test_stream_contains_reference_coefficient():
 def test_stream_indexing_and_partitions():
     for signed in (False, True):
         full = list(sparse_values(3, 8, signed))
-        # element i of the SparseInt stream is the NAF of value i
-        assert [value_of(s) for s in enumerate_sparse(3, 8, signed)] == full
         # the stream partitions into weight levels in order, so the stream
         # for a smaller k is a prefix and an index does not depend on k
         for k in (1, 2):
@@ -243,14 +230,15 @@ def test_streams_yield_python_ints(v):
     for signed in (False, True):
         values = list(itertools.islice(sparse_values(3, v, signed), 5000))
         assert {type(x) for x in values} == {int}
-        for s in itertools.islice(enumerate_sparse(3, v, signed), 300):
+        for x in values[:300]:
             assert all(type(sign) is int and type(exp) is int
-                       for sign, exp in s.terms)
+                       for sign, exp in naf(x).terms)
 
 
 def test_stream_counts_within_cardinality_bound():
     for k, v in ((1, 4), (2, 6), (3, 9)):
-        assert stream_length(k, v, False) <= cardinality_bound(k, v)
+        # (2v)^k, the coarse bound on the size of the sparse grid
+        assert stream_length(k, v, False) <= (2 * v) ** k
 
 
 def test_naf_weight_stats_deterministic():

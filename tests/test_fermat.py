@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_semiprime
 from sparsefactor import fermat
-from sparsefactor.arith import iroot, isqrt
+from sparsefactor.arith import iroot
 from sparsefactor.model import (
     LowOrderBaseError,
     SearchBudget,
@@ -55,7 +55,7 @@ def test_step_count_bound():
     assert fermat.step_count_bound(9, 3) == 0
     assert fermat.step_count_bound(2881, 43) == 3
     assert math.ceil((53 - 43) ** 2 / 43) == 3
-    expected = -((-(EX_P - isqrt(EX_N)) ** 2) // EX_P)
+    expected = -((-(EX_P - math.isqrt(EX_N)) ** 2) // EX_P)
     assert fermat.step_count_bound(EX_N, EX_P) == expected
     with pytest.raises(ValueError):
         fermat.step_count_bound(2881, 44)
@@ -100,7 +100,7 @@ def test_offset_self_consistency():
     rng = random.Random(12)
     for _ in range(40):
         n, p, q = random_semiprime(rng, 40)
-        s0, f0 = isqrt(n), iroot(n, 4)
+        s0, f0 = math.isqrt(n), iroot(n, 4)
         a_true = (2 * (p - s0) + f0) // (2 * f0)
         anchor = fermat.sum_anchor(n, a_true)
         if anchor is None:
@@ -115,7 +115,7 @@ def test_sum_approximation_guarantee():
     rng = random.Random(13)
     for _ in range(100):
         n, p, q = random_semiprime(rng, 40)
-        s0, f0 = isqrt(n), iroot(n, 4)
+        s0, f0 = math.isqrt(n), iroot(n, 4)
         assert p > f0
         best = None
         for f in (p, q):

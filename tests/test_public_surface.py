@@ -1,0 +1,49 @@
+import argparse
+
+import pytest
+
+import sparsefactor
+from sparsefactor import cli
+
+_SEARCH_FLAGS = ["--k", "--vmax", "--tmax", "--budget", "--multipliers",
+                 "--seed"]
+
+# Each subcommand takes only the flags it reads, and the package exports
+# the engines, the result and budget types, the weak-class tools and the
+# helpers the acceptance criteria use.
+_SURFACE = {
+    "factor": ["-h", "--help", "--method", "--form", "--trials", "--json",
+               "--workers", *_SEARCH_FLAGS],
+    "generate": ["-h", "--help", "--class", "--bits", "--count", "--out",
+                 "--format", "--k", "--vmax", "--seed"],
+    "audit": ["-h", "--help", "--in", "--json", "--k", "--seed"],
+    "sparsefactor": [
+        "bsgs_fermat", "classic_fermat", "extended_fermat_offset",
+        "extended_fermat_sparse", "sparse_difference_factor",
+        "sparse_exponent_factor", "germain_factor", "cyclotomic_form_factor",
+        "trial_division", "pollard_pm1",
+        "Certificate", "FactorResult", "GenerationError", "LowOrderBaseError",
+        "SearchBudget", "WeakClassReport", "result_to_json",
+        "result_from_json", "verify_certificate",
+        "WeakClassSpec", "audit", "generate_weak", "fermat_count",
+        "romanoff_count", "balanced_bounds_check",
+        "z_count", "naf_weight_stats", "step_count_bound", "naf", "weight",
+    ],
+}
+
+
+def _option_strings(command):
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return [opt for action in subparsers.choices[command]._actions
+            for opt in action.option_strings]
+
+
+@pytest.mark.parametrize("surface", sorted(_SURFACE))
+def test_public_surface_is_pinned(surface):
+    if surface == "sparsefactor":
+        names = sparsefactor.__all__
+        assert all(hasattr(sparsefactor, name) for name in names)
+    else:
+        names = _option_strings(surface)
+    assert sorted(names) == sorted(_SURFACE[surface])

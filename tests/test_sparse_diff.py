@@ -1,38 +1,34 @@
 import random
 
-import pytest
-
 from conftest import random_prime
 from sparsefactor import sparse_diff
-from sparsefactor.arith import is_probable_prime
+from sparsefactor.arith import SquareSieve, is_probable_prime
 from sparsefactor.expansions import naf, stream_length, weight
 from sparsefactor.model import SearchBudget, verify_certificate
 from sparsefactor.weakset import WeakClassSpec, generate_weak
 
 
 def test_discriminant_root_known():
-    assert sparse_diff.discriminant_root(2, 1, 10403, 1) == 204
+    # q - p = 2 for 10403 = 101 * 103: a^2 + 4N = 204^2, split at u = 103
     assert 2 * 2 + 4 * 10403 == 41616 == 204 ** 2
-    assert sparse_diff.discriminant_root(2, 1, 143, 1) == 24
-    assert sparse_diff.discriminant_root(3, 1, 10403, 1) is None
-    assert sparse_diff.discriminant_root(2, 1, 10403, -1) is None
-    with pytest.raises(ValueError):
-        sparse_diff.discriminant_root(0, 1, 15, 1)
+    assert SquareSieve(-4 * 10403).root(2) == 204
+    assert sparse_diff._extract(2, 204, 10403) == (103, 101, 103)
+    assert SquareSieve(-4 * 143).root(2) == 24
+    assert sparse_diff._extract(2, 24, 143) == (13, 11, 13)
+    assert SquareSieve(-4 * 10403).root(3) is None
+    assert SquareSieve(4 * 10403).root(2) is None  # a^2 - 4N < 0
 
 
 def test_roots_from_discriminant_known():
-    assert sparse_diff.roots_from_discriminant(2, 1, 10403, 1, 204) == (101, 103)
-    assert sparse_diff.roots_from_discriminant(2, 1, 143, 1, 24) == (11, 13)
-    assert sparse_diff.roots_from_discriminant(2, 1, 15, 1, 8) == (3, 5)
+    assert sparse_diff._extract(2, 8, 15) == (5, 3, 5)
     # parity failure: a + r odd means no integer root
-    assert sparse_diff.roots_from_discriminant(3, 1, 10, 1, 8) is None
+    assert sparse_diff._extract(3, 8, 10) is None
 
 
 def test_sum_pattern_also_splits():
     # p + q sparse: 3 + 5 = 8 solves U^2 - 8U + 15 with root 5
-    r = sparse_diff.discriminant_root(8, 1, 15, -1)
-    assert r == 2
-    assert sparse_diff.roots_from_discriminant(8, 1, 15, -1, 2) == (3, 5)
+    assert SquareSieve(4 * 15).root(8) == 2
+    assert sparse_diff._extract(8, 2, 15) == (5, 3, 5)
 
 
 def test_driver_small():

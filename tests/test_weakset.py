@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_prime
 from sparsefactor import weakset
-from sparsefactor.arith import iroot, is_probable_prime, isqrt, small_primes
+from sparsefactor.arith import iroot, is_probable_prime, small_primes
 from sparsefactor.expansions import naf, weight
 from sparsefactor.model import GenerationError, SearchBudget
 from sparsefactor.weakset import WeakClassSpec, audit, generate_weak
@@ -256,7 +256,8 @@ def test_alpha_measurement_reported():
     report = audit(448316072600119, (15402707, 29106317))
     alpha = report.witnesses["meta"]["alpha"]
     n, p = 448316072600119, 15402707
-    expect = (math.log2(isqrt(n) - p) - math.log2(iroot(n, 4))) / math.log2(n)
+    expect = ((math.log2(math.isqrt(n) - p) - math.log2(iroot(n, 4)))
+              / math.log2(n))
     assert abs(alpha - expect) < 1e-9
 
 
