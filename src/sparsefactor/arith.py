@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -197,7 +198,8 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
         bases = _SMALL_PRIMES
     else:
         rng = random.Random(seed)
-        bases = [rng.randrange(2, n - 1) for _ in range(40)]
+        # drawn lazily: a composite usually fails the first round
+        bases = (rng.randrange(2, n - 1) for _ in range(40))
     return all(_miller_rabin_round(n, a, d, s) for a in bases)
 
 
@@ -260,7 +262,8 @@ def trial_division(n: int, bound: int) -> FactorResult:
 POW_BATCH = 64  # stages per pow and gcd in pollard_pm1 and the sparse grid
 
 
-def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
+def pollard_pm1(n: int, smoothness_bound: int, t: int = 2,
+                op_cap: Optional[int] = None) -> FactorResult:
     """Stage-wise p-1 method: exponent = product of prime powers <= bound.
 
     Each stage raises x to one prime power.  The stages run in batches of
@@ -268,8 +271,9 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
     gcd is not 1 is replayed stage by stage from its start, so the split is
     the one a gcd after every stage finds (once x is 1 mod a prime factor,
     every later power is too), and a split survives even when the full
-    exponent would kill both factors at once.  `ops` counts prime stages.
-    A degenerate gcd == n restarts with the next base, at most 8 bases total.
+    exponent would kill both factors at once.  `ops` counts prime stages,
+    summed over the bases: a degenerate gcd == n restarts with the next
+    base, at most 8 in all.  The batch that would pass op_cap is cut short.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
@@ -282,6 +286,7 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
     batches = [stages[i:i + POW_BATCH]
                for i in range(0, len(stages), POW_BATCH)]
     products = [math.prod(batch) for batch in batches]
+    cap = math.inf if op_cap is None else op_cap
     ops = 0
     base = t
     for _ in range(8):
@@ -292,6 +297,11 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2) -> FactorResult:
             return factored(g, n // g, cert, ops)
         x = base % n
         for batch, product in zip(batches, products):
+            if ops + len(batch) > cap:
+                batch = batch[:cap - ops]
+                if not batch:
+                    return exhausted(ops)
+                product = math.prod(batch)
             y = pow(x, product, n)
             if math.gcd(y - 1, n) == 1:
                 x = y

@@ -25,9 +25,11 @@ from .model import (
     STATUS_FACTORED,
     STATUS_PROBABLE_PRIME,
     SearchBudget,
+    exhausted,
     probable_prime,
     report_to_dict,
     result_to_dict,
+    trivial_or_even,
 )
 from .sparse_diff import sparse_difference_factor
 from .sparse_exp import cyclotomic_form_factor, germain_factor, sparse_exponent_factor
@@ -37,10 +39,6 @@ EXIT_EXHAUSTED = 1
 EXIT_PROBABLE_PRIME = 2
 EXIT_USAGE = 64
 EXIT_NOINPUT = 66
-
-_METHODS = ("auto", "fermat", "xfermat", "bsgs", "sparsediff", "sparseexp",
-            "trial", "pm1")
-
 
 @dataclass
 class CorpusRecord:
@@ -120,6 +118,7 @@ def _budget_from(n: int, args) -> SearchBudget:
 
 def _bsgs_with_retries(n: int, seed: int,
                        op_cap: Optional[int] = None) -> FactorResult:
+    """BSGS from base 2, redrawing a low-order base; Exhausted after six."""
     import random
     rng = random.Random(seed)
     base = 2
@@ -128,12 +127,11 @@ def _bsgs_with_retries(n: int, seed: int,
             return bsgs_fermat(n, base, balanced_hint=True, op_cap=op_cap)
         except LowOrderBaseError:
             base = rng.randrange(2, n - 1)
-    raise LowOrderBaseError("low-order base, rechoose T")
+    return exhausted(0)
 
 
 def _auto_cascade(n: int, budget: SearchBudget, args) -> FactorResult:
-    if is_probable_prime(n, budget.seed):
-        return probable_prime()
+    """Fixed trial and classic screens, then the engines at a small budget."""
     quick = replace(budget, k=min(budget.k, 3), t_max=min(budget.t_max, 4096),
                     op_cap=min(budget.op_cap, 250_000))
     result = trial_division(n, 10_000)
@@ -149,69 +147,68 @@ def _auto_cascade(n: int, budget: SearchBudget, args) -> FactorResult:
     if result.factored:
         return result
     if n < 1 << 56:
-        try:
-            result = _bsgs_with_retries(n, budget.seed)
-            if result.factored:
-                return result
-        except LowOrderBaseError:
-            pass
+        result = _bsgs_with_retries(n, budget.seed)
+        if result.factored:
+            return result
     trials = 4 if args.trials is None else args.trials
     return sparse_exponent_factor(n, quick, trials=trials,
                                   seed=budget.seed)
 
 
-def _parse_form(text: str) -> tuple[str, int]:
-    kind, _, param = text.partition(":")
-    if kind not in ("mersenne", "fermat") or not param.isdigit():
-        raise ValueError(f"bad form {text!r}; expected mersenne:R or fermat:N")
-    return kind, int(param)
+def _sparse_exp(n: int, budget: SearchBudget, args) -> FactorResult:
+    if args.form:
+        kind, _, param = args.form.partition(":")
+        if kind not in ("mersenne", "fermat") or not param.isdigit():
+            raise ValueError(
+                f"bad form {args.form!r}; expected mersenne:R or fermat:N")
+        return cyclotomic_form_factor(n, (kind, int(param)), budget)
+    trials = 8 if args.trials is None else args.trials
+    return sparse_exponent_factor(n, budget, trials=trials, seed=budget.seed)
+
+
+# --method -> (run(n, budget, args), the optional flags it reads).  Each run
+# looks its engine up by name when called, so a rebound module attribute
+# (a tracer's wrapper, say) is the one that runs.
+ENGINES = {
+    "auto": (_auto_cascade, ("trials",)),
+    "fermat": (lambda n, b, _: classic_fermat(n, min(b.t_max, b.op_cap)), ()),
+    "xfermat": (lambda n, b, _: extended_fermat_sparse(n, b), ()),
+    "bsgs": (lambda n, b, _: _bsgs_with_retries(n, b.seed, b.op_cap), ()),
+    "sparsediff": (lambda n, b, _: sparse_difference_factor(n, b), ()),
+    "sparseexp": (_sparse_exp, ("form", "trials")),
+    # at most --budget divisors 2, 3, 5, ..., 2 * budget - 1
+    "trial": (lambda n, b, args: trial_division(
+        n, 2 * (args.budget or 500_000) - 1), ()),
+    "pm1": (lambda n, b, _: pollard_pm1(n, weakset.default_smoothness_bound(
+        n.bit_length()), op_cap=b.op_cap), ()),
+}
+
+
+def _preamble(n: int, seed: int) -> Optional[FactorResult]:
+    """Every method's answer before its search: TrivialInput below 3, the
+    divisor-2 split at 0 ops, ProbablePrime; None for an odd composite."""
+    early = trivial_or_even(n)
+    if early is None and is_probable_prime(n, seed):
+        early = probable_prime()
+    return early
+
+
+def _solve(n: int, args) -> FactorResult:
+    run, reads = ENGINES[args.method]
+    for flag in ("form", "trials"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise ValueError(f"--{flag} is not read by --method {args.method}")
+    if args.trials is not None and args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    budget = _budget_from(n, args)
+    early = _preamble(n, budget.seed)
+    return early if early is not None else run(n, budget, args)
 
 
 def cmd_factor(args) -> int:
-    try:
-        n = _parse_integer(args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    budget = _budget_from(n, args)
-    if args.trials is not None and args.trials < 1:
-        raise ValueError("--trials must be >= 1")
+    n = _parse_integer(args.n)
     started = time.perf_counter()
-    if n < 3:
-        result = FactorResult("TrivialInput", None, None, 0)
-    elif args.method == "auto":
-        result = _auto_cascade(n, budget, args)
-    elif args.method == "trial":
-        result = trial_division(n, args.budget or 10 ** 6)
-    elif args.method == "fermat":
-        result = classic_fermat(n, min(budget.t_max, budget.op_cap))
-    elif args.method == "xfermat":
-        result = extended_fermat_sparse(n, budget)
-    elif args.method == "sparsediff":
-        result = sparse_difference_factor(n, budget)
-    elif args.method == "bsgs":
-        try:
-            result = _bsgs_with_retries(n, budget.seed, budget.op_cap)
-        except LowOrderBaseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_EXHAUSTED
-    elif args.method == "sparseexp":
-        if args.form:
-            try:
-                form = _parse_form(args.form)
-                result = cyclotomic_form_factor(n, form, budget)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            trials = 8 if args.trials is None else args.trials
-            result = sparse_exponent_factor(n, budget, trials=trials,
-                                            seed=budget.seed)
-    elif args.method == "pm1":
-        result = pollard_pm1(n, args.budget or 100_000)
-    else:
-        print(f"error: unknown method {args.method}", file=sys.stderr)
-        return EXIT_USAGE
+    result = _solve(n, args)
     elapsed = time.perf_counter() - started
 
     if args.json:
@@ -319,17 +316,6 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _bench_row(label, n, fn):
-    started = time.perf_counter()
-    try:
-        result = fn()
-        status, ops = result.status, result.ops
-    except (ValueError, LowOrderBaseError) as exc:
-        status, ops = f"error({exc})", 0
-    ms = (time.perf_counter() - started) * 1000
-    print(f"{label:>12} {n:>22} {status:>14} {ops:>10} {ms:>9.2f}ms")
-
-
 def cmd_bench(args) -> int:
     seed = _seed_from(args)
     if args.suite == "example6":
@@ -376,17 +362,17 @@ def cmd_bench(args) -> int:
             print(f"x={x}: R={r} R/x={r / x:.4f}")
         return EXIT_OK
 
-    # desk suite: every engine across a few known composites
+    # desk suite: every method across a few known composites
     print(f"{'engine':>12} {'N':>22} {'status':>14} {'ops':>10} {'time':>11}")
     for n in (10403, 2881, 15049, 253, 2047):
-        budget = SearchBudget.default_for(n, seed=seed)
-        _bench_row("trial", n, lambda n=n: trial_division(n, 10 ** 4))
-        _bench_row("fermat", n, lambda n=n: classic_fermat(n, 10 ** 5))
-        _bench_row("xfermat", n, lambda n=n, b=budget: extended_fermat_sparse(n, b))
-        _bench_row("sparsediff", n, lambda n=n, b=budget: sparse_difference_factor(n, b))
-        _bench_row("bsgs", n, lambda n=n: bsgs_fermat(n, 2))
-        _bench_row("sparseexp", n, lambda n=n, b=budget: sparse_exponent_factor(n, b, seed=seed))
-        _bench_row("pm1", n, lambda n=n: pollard_pm1(n, 10 ** 4))
+        for method in ENGINES:
+            args = build_parser().parse_args(
+                ["factor", str(n), "--method", method, "--seed", str(seed)])
+            started = time.perf_counter()
+            result = _solve(n, args)
+            ms = (time.perf_counter() - started) * 1000
+            print(f"{method:>12} {n:>22} {result.status:>14} "
+                  f"{result.ops:>10} {ms:>9.2f}ms")
     return EXIT_OK
 
 
@@ -417,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factor", help="factor one integer")
     p.add_argument("n", help="decimal or 0x-prefixed hex integer")
-    p.add_argument("--method", choices=_METHODS, default="auto")
+    p.add_argument("--method", choices=ENGINES, default="auto")
     p.add_argument("--form", default=None,
                    help="structured input shape: mersenne:R or fermat:N")
     p.add_argument("--trials", type=int, default=None,

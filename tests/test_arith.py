@@ -78,6 +78,27 @@ def test_is_probable_prime_above_word_size():
     assert not arith.is_probable_prime(p * ((1 << 61) - 1))
 
 
+def test_is_probable_prime_draws_bases_lazily(monkeypatch):
+    # the seeded bases come one round at a time: a composite that fails the
+    # first round draws one base, and a prime draws all 40 in order
+    p = 2 ** 89 - 1
+    rng = random.Random(3)
+    bases = [rng.randrange(2, p - 1) for _ in range(40)]
+    drawn = []
+
+    class Recording(random.Random):
+        def randrange(self, *args):
+            drawn.append(super().randrange(*args))
+            return drawn[-1]
+
+    monkeypatch.setattr(arith.random, "Random", Recording)
+    assert not arith.is_probable_prime(p * ((1 << 61) - 1), seed=3)
+    assert len(drawn) == 1
+    drawn.clear()
+    assert arith.is_probable_prime(p, seed=3)
+    assert drawn == bases
+
+
 def _divisor_count(n):
     count = 0
     for d in range(1, math.isqrt(n) + 1):
@@ -128,6 +149,18 @@ def test_pollard_pm1_exhaustion():
     assert arith.pollard_pm1(10403, 3).status == "Exhausted"
     r = arith.pollard_pm1(10403, 25)
     assert r.factored and r.factors == (101, 103)
+
+
+@pytest.mark.parametrize("n,bound,uncapped", [(31, 7, 23), (703, 11, 16),
+                                               (671, 5, 15)])
+def test_pollard_pm1_op_cap_spans_restarts(n, bound, uncapped):
+    # each degenerate base restarts, and ops adds up every base's stages
+    full = arith.pollard_pm1(n, bound)
+    assert full.ops == uncapped
+    for cap in range(1, uncapped + 2):
+        r = arith.pollard_pm1(n, bound, op_cap=cap)
+        assert r.ops <= cap
+        assert r == full if cap >= uncapped else r.status == "Exhausted"
 
 
 def test_pollard_pm1_rejects_even():

@@ -229,17 +229,32 @@ def test_workers_reproduce_certificates(argv, code, status, capsys):
         assert outs[0]["ops"] == 5_000_000
 
 
-@pytest.mark.parametrize("budget", [1, 1000])
+_REFERENCE_N = 448316072600119
+
+
+@pytest.mark.parametrize("n,budget", [
+    # the reference N needs 2,401 classic steps, more than either budget
+    pytest.param(_REFERENCE_N, 1, id="1"),
+    pytest.param(_REFERENCE_N, 1000, id="1000"),
+    # p-1's degenerate restarts once added up their stages past the cap
+    pytest.param(703, 11, id="703-11"),
+    pytest.param(671, 5, id="671-5"),
+    pytest.param(10007, 1, id="prime-1"),
+])
 @pytest.mark.parametrize("method", ["fermat", "xfermat", "bsgs",
                                     "sparsediff", "sparseexp", "trial",
                                     "pm1"])
-def test_single_method_ops_within_budget(method, budget, capsys):
-    # the reference N needs 2,401 classic steps, more than either budget
-    code, out, _ = run_cli(capsys, "factor", "448316072600119", "--method",
-                           method, "--budget", str(budget), "--json")
+def test_single_method_ops_within_budget(method, n, budget, capsys):
+    code, out, _ = run_cli(capsys, "factor", str(n), "--method", method,
+                           "--budget", str(budget), "--json")
     payload = json.loads(out)
-    assert code == 1 and payload["status"] == "Exhausted"
     assert payload["ops"] <= budget
+    if n == _REFERENCE_N:
+        assert code == 1 and payload["status"] == "Exhausted"
+    elif n == 10007:
+        assert code == 2 and payload["status"] == "ProbablePrime"
+    else:
+        assert code in (0, 1)
 
 
 def test_bsgs_budget_bounds_a_122_bit_window(capsys):
@@ -312,8 +327,9 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
 
 
 @pytest.mark.parametrize("argv,code", [
-    (["factor", "100", "--method", "fermat"], 64),
-    (["factor", "100", "--method", "bsgs"], 64),
+    # a flag the chosen method does not read
+    (["factor", "10403", "--method", "fermat", "--form", "fermat:5"], 64),
+    (["factor", "10403", "--method", "xfermat", "--trials", "3"], 64),
     (["factor", "10403", "--budget", "0"], 64),
     (["factor", "10403", "--method", "xfermat", "--tmax", "-5"], 64),
     (["generate", "--class", "b", "--bits", "64", "--count", "0"], 64),
