@@ -203,8 +203,19 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
     return all(_miller_rabin_round(n, a, d, s) for a in bases)
 
 
+def prime_array(limit: int) -> np.ndarray:
+    """Primes <= limit, ascending, by a sieve of Eratosthenes on numpy."""
+    limit = max(limit, 1)
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = False
+    return np.flatnonzero(flags)
+
+
 def small_primes(limit: int):
-    """Primes <= limit by a plain sieve (desk-scale helper).
+    """Primes <= limit as Python ints (desk-scale helper).
 
     Each call returns a fresh list; the sieve itself is cached per limit.
     """
@@ -213,14 +224,7 @@ def small_primes(limit: int):
 
 @lru_cache(maxsize=16)
 def _primes_upto(limit: int) -> tuple[int, ...]:
-    if limit < 2:
-        return ()
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(range(i * i, limit + 1, i)))
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
+    return tuple(prime_array(limit).tolist())
 
 
 def z_count(n: int) -> int:

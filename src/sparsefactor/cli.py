@@ -1,4 +1,4 @@
-"""Command-line front end: factor, generate, audit, density, bench.
+"""Command-line front end: factor, generate, audit, density.
 
 Exit codes: 0 factored / success, 1 exhausted or infeasible, 2 probable
 prime, 64 usage error, 66 unreadable or malformed input file.
@@ -32,7 +32,7 @@ from .model import (
     trivial_or_even,
 )
 from .sparse_diff import sparse_difference_factor
-from .sparse_exp import cyclotomic_form_factor, germain_factor, sparse_exponent_factor
+from .sparse_exp import cyclotomic_form_factor, sparse_exponent_factor
 
 EXIT_OK = 0
 EXIT_EXHAUSTED = 1
@@ -70,13 +70,15 @@ class CorpusRecord:
         n = int(fields[0])
         if n < 15:
             raise ValueError(f"record N = {n} is below 15")
+        if len(fields) not in (1, 3):
+            raise ValueError("records carry either N or N,p,q")
         p = q = None
-        if len(fields) >= 3:
+        if len(fields) == 3:
             p, q = int(fields[1]), int(fields[2])
+            if not 1 < p <= q:
+                raise ValueError("stated factors must satisfy 1 < p <= q")
             if p * q != n:
                 raise ValueError(f"stated factors do not multiply to {n}")
-        elif len(fields) == 2:
-            raise ValueError("records carry either N or N,p,q")
         label = None
         comment = comment.strip() or None
         if comment and comment.startswith("class="):
@@ -124,7 +126,7 @@ def _bsgs_with_retries(n: int, seed: int,
     base = 2
     for _ in range(6):
         try:
-            return bsgs_fermat(n, base, balanced_hint=True, op_cap=op_cap)
+            return bsgs_fermat(n, base, op_cap=op_cap)
         except LowOrderBaseError:
             base = rng.randrange(2, n - 1)
     return exhausted(0)
@@ -316,66 +318,6 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    seed = _seed_from(args)
-    if args.suite == "example6":
-        n = 448316072600119
-        budget = SearchBudget(k=5, v_max=12, t_max=1642, seed=seed)
-        result = extended_fermat_sparse(n, budget)
-        ok = (result.factored and result.factors == (15402707, 29106317)
-              and result.certificate.witness["a"] == 1724
-              and result.certificate.witness["t"] == 339)
-        print(f"reference semiprime: status={result.status} "
-              f"factors={result.factors} "
-              f"a={result.certificate.witness.get('a') if result.certificate else None} "
-              f"t={result.certificate.witness.get('t') if result.certificate else None} "
-              f"ops={result.ops}")
-        return EXIT_OK if ok else EXIT_EXHAUSTED
-
-    if args.suite == "f5":
-        n = 4294967297
-        budget = SearchBudget(k=2, v_max=6, t_max=16, seed=seed)
-        result = cyclotomic_form_factor(n, ("fermat", 5), budget)
-        steps = result.certificate.witness.get("steps") if result.certificate else None
-        print(f"F5: status={result.status} factors={result.factors} "
-              f"grid_steps={steps}")
-        return EXIT_OK if result.factored and steps is not None and steps <= 3 \
-            else EXIT_EXHAUSTED
-
-    if args.suite == "germain":
-        ok = True
-        for n in (253, 737, 1081, 55):
-            result = germain_factor(n, 8)
-            print(f"germain {n}: {result.status} factors={result.factors} "
-                  f"k={result.certificate.witness.get('multiple') if result.certificate else None}")
-            ok = ok and result.factored
-        return EXIT_OK if ok else EXIT_EXHAUSTED
-
-    if args.suite == "density":
-        print("-- fermat window pairs --")
-        for x in (10_000, 100_000, 1_000_000):
-            f, b, ratio = weakset.fermat_count(x)
-            print(f"X={x}: F={f} B={b} ratio={ratio:.6f}")
-        print("-- prime + power-of-two coverage --")
-        for x in (10_000, 100_000, 1_000_000):
-            r = weakset.romanoff_count(x)
-            print(f"x={x}: R={r} R/x={r / x:.4f}")
-        return EXIT_OK
-
-    # desk suite: every method across a few known composites
-    print(f"{'engine':>12} {'N':>22} {'status':>14} {'ops':>10} {'time':>11}")
-    for n in (10403, 2881, 15049, 253, 2047):
-        for method in ENGINES:
-            args = build_parser().parse_args(
-                ["factor", str(n), "--method", method, "--seed", str(seed)])
-            started = time.perf_counter()
-            result = _solve(n, args)
-            ms = (time.perf_counter() - started) * 1000
-            print(f"{method:>12} {n:>22} {result.status:>14} "
-                  f"{result.ops:>10} {ms:>9.2f}ms")
-    return EXIT_OK
-
-
 # Search flags; each subcommand takes the ones it reads.
 _BUDGET_FLAGS = {
     "--k": dict(type=int, help="max sparse weight (nonzero signed digits)"),
@@ -434,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("fermat", "romanoff"), required=True)
     p.add_argument("--xmax", type=int, default=1_000_000)
     p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("bench", help="timed engine comparisons")
-    p.add_argument("--suite", choices=("desk", "example6", "f5", "germain",
-                                       "density"), default="desk")
-    add_budget_flags(p, "--seed")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -83,6 +83,11 @@ def weight(n: int) -> int:
 # every stream value, and every intermediate 2^e +- x, fits in int64.
 _INT64_VMAX = 62
 
+# Most exponents per weight-1 run: below v_max 1024 the level is one run,
+# and above it a run of Python ints holds O(v_max) bytes, not the level's
+# O(v_max^2).
+_WEIGHT1_RUN = 1024
+
 
 def _weight_runs(w: int, v_max: int, dtype) -> Iterator[np.ndarray]:
     """Positive values of exact NAF weight w, exponents <= v_max, ascending.
@@ -132,9 +137,13 @@ def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[np.ndarray]:
     if signed:
         yield np.zeros(1, dtype=dtype)
     for w in range(1, _max_weight(k, v_max) + 1):
-        # weight 1 is one run here; its one-value runs only feed weight 2
-        runs = ([np.array([1 << e for e in range(v_max + 1)], dtype=dtype)]
-                if w == 1 else _weight_runs(w, v_max, dtype))
+        if w == 1:
+            # long runs here; the one-value runs only feed weight 2
+            exps = range(v_max + 1)
+            runs = (np.array([1 << e for e in exps[lo:lo + _WEIGHT1_RUN]],
+                             dtype=dtype) for lo in exps[::_WEIGHT1_RUN])
+        else:
+            runs = _weight_runs(w, v_max, dtype)
         for run in runs:
             if signed:
                 both = np.empty(2 * len(run), dtype=dtype)

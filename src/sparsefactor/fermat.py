@@ -194,7 +194,6 @@ def _capped_steps(room: int) -> tuple[int, int]:
 
 
 def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
-                balanced_hint: bool = True,
                 op_cap: Optional[int] = None) -> FactorResult:
     """Baby-step giant-step search for the factor sum of n.
 
@@ -219,11 +218,7 @@ def bsgs_fermat(n: int, base: int, window: Optional[tuple[int, int]] = None,
         cert = Certificate(METHOD_BSGS_FERMAT, {"base": base, "divisor": g})
         return factored(g, n // g, cert, 0)
     if window is None:
-        if balanced_hint:
-            lo, hi = balanced_window(n)
-        else:
-            lo = 2 * isqrt_ceil(n)
-            hi = max((n + 9) // 6 + 1, lo + 1)
+        lo, hi = balanced_window(n)
         hi = min(hi, lo + _WIDTH_CAP)
     else:
         lo, hi = window

@@ -216,9 +216,7 @@ def result_from_dict(data: dict) -> FactorResult:
     factors = None
     if "p" in data:
         factors = (int(data["p"]), int(data["q"]))
-    cert = None
-    if "method" in data:
-        cert = Certificate(data["method"], _decode_value("witness", data["witness"]))
+    cert = certificate_from_dict(data) if "method" in data else None
     return FactorResult(data["status"], factors, cert, data.get("ops", 0))
 
 
@@ -242,24 +240,6 @@ def report_to_dict(report: WeakClassReport) -> dict:
             "multipliers": list(b.multipliers), "op_cap": b.op_cap, "seed": b.seed,
         }
     return out
-
-
-def report_from_dict(data: dict) -> WeakClassReport:
-    budget = None
-    if "checked_with" in data:
-        c = data["checked_with"]
-        budget = SearchBudget(c["k"], c["v_max"], c["t_max"],
-                              tuple(c["multipliers"]), c["op_cap"], c["seed"])
-    return WeakClassReport(frozenset(data["classes"]),
-                           _decode_value("witness", data["witnesses"]), budget)
-
-
-def report_to_json(report: WeakClassReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True)
-
-
-def report_from_json(text: str) -> WeakClassReport:
-    return report_from_dict(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +271,13 @@ def _verify(n: int, cert: Certificate) -> bool:
         x, y = int(w["x"]), int(w["y"])
         return x * x - y * y == n and x - y > 1 and x + y < n + 1
 
+    if method in (METHOD_TRIAL_DIVISION, METHOD_POLLARD_PM1) or (
+            method == METHOD_BSGS_FERMAT and "divisor" in w):
+        d = int(w["divisor"])  # for BSGS, a lucky gcd split
+        return 1 < d < n and n % d == 0
+
     if method in (METHOD_EXTENDED_FERMAT_OFFSET, METHOD_EXTENDED_FERMAT_SPARSE,
                   METHOD_BSGS_FERMAT):
-        if method == METHOD_BSGS_FERMAT and "divisor" in w:
-            d = int(w["divisor"])  # lucky gcd split
-            return 1 < d < n and n % d == 0
         x, y = int(w["x"]), int(w["y"])
         if x * x - y * y != 4 * n or (x - y) % 2:
             return False
@@ -330,14 +312,6 @@ def _verify(n: int, cert: Certificate) -> bool:
 
     if method == METHOD_SPARSE_EXPONENT:
         return _verify_sparse_exponent(n, w)
-
-    if method == METHOD_TRIAL_DIVISION:
-        d = int(w["divisor"])
-        return 1 < d < n and n % d == 0
-
-    if method == METHOD_POLLARD_PM1:
-        d = int(w["divisor"])
-        return 1 < d < n and n % d == 0
 
     return False
 

@@ -3,9 +3,9 @@
 Weak classes (letters mirror the catalogue this toolkit targets; "e" is
 deliberately absent):
 
-  a  p-1, p+1, q-1, or q+1 is smooth below a practical bound
+  a  p-1, p+1, q-1, or q+1 is smooth below a bound derived from N's size
   b  a factor sits within N^(1/4) of sqrt(N)  (classic Fermat territory)
-  c  factor = sqrt(N) + a*N^(1/4) + b with small |a| <= N^eps
+  c  factor = sqrt(N) + a*N^(1/4) + b with |a|, |b| <= N^(1/8)
   d  same decomposition with a and b both sparse
   f  p + q = 2*sqrt(N) + r*N^(1/4) + s with r and s sparse
   g  q - p is sparse  (sparse-difference territory)
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from . import fermat, sparse_diff
-from .arith import iroot, is_probable_prime, pollard_pm1, small_primes
+from .arith import iroot, is_probable_prime, pollard_pm1, prime_array, small_primes
 from .expansions import naf, weight
 from .model import (
     GenerationError,
@@ -52,9 +52,6 @@ class WeakClassSpec:
     class_id: str
     k: int = 3                      # sparse weight cap (c/d/f/g)
     v_max: Optional[int] = None     # sparse exponent cap; bits-derived default
-    smoothness_bound: Optional[int] = None  # class a; None: size default
-    eps_num: int = 1                # class c: |a| <= N^(num/den)
-    eps_den: int = 8
 
     def __post_init__(self):
         if self.class_id not in _CLASS_IDS:
@@ -63,8 +60,6 @@ class WeakClassSpec:
             raise ValueError("k must be >= 1")
         if self.v_max is not None and self.v_max < 0:
             raise ValueError("v_max must be >= 0")
-        if not (0 < 4 * self.eps_num < self.eps_den):
-            raise ValueError("epsilon must lie in (0, 1/4)")
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +158,21 @@ def _gen_b(rng, bits, spec):
     return None
 
 
-def _anchored_pair(rng, bits, offset):
-    """Primes u (near sqrt(scale) + offset) and v (cofactor); n = u*v."""
+def _anchored(rng, bits, a):
+    """(n, p, q) from a prime near sqrt(scale) +- a*scale^(1/4) and its prime
+    cofactor, scale = 2^(bits-1), or None when unbalanced.  Classes c and d
+    differ only in how they draw a."""
     scale = 1 << (bits - 1)
-    s0 = math.isqrt(scale)
-    u = _prime_at_or_above(s0 + offset)
+    a *= rng.choice((1, -1))
+    offset = a * iroot(scale, 4) + rng.randrange(-(1 << 6), 1 << 6)
+    u = _prime_at_or_above(math.isqrt(scale) + offset)
     v = _prime_at_or_above(scale // u - rng.randrange(1 << 6))
-    return u * v, min(u, v), max(u, v)
+    p, q = min(u, v), max(u, v)
+    return (u * v, p, q) if _balanced(p, q) else None
+
+
+def _gen_c(rng, bits, spec):
+    return _anchored(rng, bits, rng.randrange(1, 1 << max(2, bits // 8 - 1)))
 
 
 def _gen_d(rng, bits, spec):
@@ -177,28 +180,7 @@ def _gen_d(rng, bits, spec):
     v = min(spec.v_max if spec.v_max is not None else quarter - 4, quarter - 4)
     if v < 1:
         return None
-    f0 = iroot(1 << (bits - 1), 4)
-    a = _random_sparse(rng, spec.k, v) * rng.choice((1, -1))
-    delta = rng.randrange(-(1 << 6), 1 << 6)
-    n, p, q = _anchored_pair(rng, bits, a * f0 + delta)
-    if not _balanced(p, q):
-        return None
-    if _decompose_factor(n, p, q, spec.k) is None:
-        return None
-    return n, p, q
-
-
-def _gen_c(rng, bits, spec):
-    a_bits = max(2, bits * spec.eps_num // spec.eps_den - 1)
-    f0 = iroot(1 << (bits - 1), 4)
-    a = rng.randrange(1, 1 << a_bits) * rng.choice((1, -1))
-    delta = rng.randrange(-(1 << 6), 1 << 6)
-    n, p, q = _anchored_pair(rng, bits, a * f0 + delta)
-    if not _balanced(p, q):
-        return None
-    if _decompose_eps(n, p, q, spec.eps_num, spec.eps_den) is None:
-        return None
-    return n, p, q
+    return _anchored(rng, bits, _random_sparse(rng, spec.k, v))
 
 
 def _gen_f(rng, bits, spec):
@@ -216,20 +198,14 @@ def _gen_f(rng, bits, spec):
         return None
     p = _prime_at_or_above((sigma - math.isqrt(disc)) // 2)
     q = _prime_at_or_above(sigma - p)
-    n = p * q
-    if not _balanced(p, q):
-        return None
-    if _decompose_sum(n, p, q, spec.k) is None:
-        return None
-    return n, p, q
+    return (p * q, p, q) if _balanced(p, q) else None
 
 
 def _gen_a(rng, bits, spec):
     half = bits // 2
     # an N that comes out shorter than `bits` may audit with a lower
     # default bound; generate_weak's audit then rejects it and retries
-    primes = small_primes(spec.smoothness_bound
-                          or default_smoothness_bound(bits))
+    primes = small_primes(default_smoothness_bound(bits))
     for _ in range(200):
         prod = 2
         while prod.bit_length() < half - 1:
@@ -270,9 +246,8 @@ def generate_weak(spec: WeakClassSpec, bits: int, count: int,
             if made is None:
                 continue
             n, p, q = made
-            report = audit(n, (p, q), budget,
-                           smoothness_bound=spec.smoothness_bound,
-                           eps=(spec.eps_num, spec.eps_den))
+            # the audit is the class check: a candidate outside it is redrawn
+            report = audit(n, (p, q), budget)
             if spec.class_id in report.classes:
                 out.append((n, p, q, report))
                 break
@@ -290,35 +265,27 @@ def _audit_budget(bits: int, spec: WeakClassSpec) -> SearchBudget:
 # audit
 # ---------------------------------------------------------------------------
 
+def _locations(n, p, q):
+    """(side, a, b) with factor = sqrt(N) + a*N^(1/4) + b, per factor."""
+    s0 = math.isqrt(n)
+    f0 = iroot(n, 4)
+    for side, f in (("p", p), ("q", q)):
+        a = _nearest_quotient(f - s0, f0)
+        if a != 0:  # a = 0 is plain Fermat proximity: class b, not c or d
+            yield side, a, f - s0 - a * f0
+
+
 def _decompose_factor(n, p, q, k):
-    """Sparse (a, b) location of a factor around sqrt(N), or None."""
-    s0 = math.isqrt(n)
-    f0 = iroot(n, 4)
-    best = None
-    for side, f in (("p", p), ("q", q)):
-        a = _nearest_quotient(f - s0, f0)
-        b = f - s0 - a * f0
-        if a == 0:
-            continue  # a = 0 is plain Fermat proximity: class b, not d
-        wa, wb = weight(a), weight(b)
-        if wa <= k and wb <= k:
-            cand = (max(wa, wb), wa, abs(a), side, a, b)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    return best[0], best[3], best[4], best[5]
+    """The sparsest (side, a, b) with a and b of weight <= k, or None."""
+    best = min(((max(weight(a), weight(b)), weight(a), abs(a), side, a, b)
+                for side, a, b in _locations(n, p, q)), default=None)
+    return best[3:] if best is not None and best[0] <= k else None
 
 
-def _decompose_eps(n, p, q, num, den):
-    s0 = math.isqrt(n)
-    f0 = iroot(n, 4)
-    for side, f in (("p", p), ("q", q)):
-        a = _nearest_quotient(f - s0, f0)
-        b = f - s0 - a * f0
-        if a == 0:
-            continue
-        if abs(a) ** den <= n ** num and abs(b) ** (4 * den) <= n ** (den - 4 * num):
+def _decompose_eps(n, p, q):
+    """The first (side, a, b) with |a|, |b| <= N^(1/8), or None."""
+    for side, a, b in _locations(n, p, q):
+        if max(abs(a), abs(b)) ** 8 <= n:
             return side, a, b
     return None
 
@@ -344,9 +311,7 @@ def _smooth_part(m: int, primes) -> int:
 
 
 def audit(n: int, factors: Optional[tuple[int, int]] = None,
-          budget: Optional[SearchBudget] = None,
-          smoothness_bound: Optional[int] = None,
-          eps: tuple[int, int] = (1, 8)) -> WeakClassReport:
+          budget: Optional[SearchBudget] = None) -> WeakClassReport:
     """Classify n into weak classes, with per-class witnesses.
 
     With known factors, membership is decided by direct arithmetic.
@@ -358,13 +323,13 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
         raise ValueError("n must be >= 15")
     if budget is None:
         budget = SearchBudget.default_for(n)
-    if smoothness_bound is None:
-        smoothness_bound = default_smoothness_bound(n.bit_length())
 
     if factors is None:
-        return _audit_blind(n, budget, smoothness_bound, eps)
+        return _audit_blind(n, budget)
 
     p, q = sorted(factors)
+    if p < 2:
+        raise ValueError("claimed factors must both exceed 1")
     if p * q != n:
         raise ValueError("claimed factors do not multiply to n")
     classes: set[str] = set()
@@ -384,17 +349,16 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
 
     hit = _decompose_factor(n, p, q, budget.k)
     if hit is not None:
-        _, side, a, b = hit
+        side, a, b = hit
         classes.add("d")
         witnesses["d"] = {"side": side, "a": a, "b": b,
                           "weights": [weight(a), weight(b)]}
 
-    hit = _decompose_eps(n, p, q, eps[0], eps[1])
+    hit = _decompose_eps(n, p, q)
     if hit is not None:
         side, a, b = hit
         classes.add("c")
-        witnesses["c"] = {"side": side, "a": a, "b": b,
-                          "eps": [eps[0], eps[1]]}
+        witnesses["c"] = {"side": side, "a": a, "b": b, "eps": [1, 8]}
 
     hit = _decompose_sum(n, p, q, budget.k)
     if hit is not None:
@@ -402,6 +366,7 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
         classes.add("f")
         witnesses["f"] = {"r": r, "s": s, "weights": [weight(r), weight(s)]}
 
+    smoothness_bound = default_smoothness_bound(n.bit_length())
     primes = small_primes(smoothness_bound)
     for label, m in (("p-1", p - 1), ("p+1", p + 1), ("q-1", q - 1),
                      ("q+1", q + 1)):
@@ -420,7 +385,7 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
     return WeakClassReport(frozenset(classes), witnesses, budget)
 
 
-def _audit_blind(n, budget, smoothness_bound, eps):
+def _audit_blind(n, budget):
     capped = replace(budget, k=min(budget.k, 3),
                      t_max=min(budget.t_max, 1 << 12),
                      op_cap=min(budget.op_cap, 200_000))
@@ -433,7 +398,7 @@ def _audit_blind(n, budget, smoothness_bound, eps):
         lambda: fermat.classic_fermat(n, min(capped.t_max, 1 << 12)),
         lambda: sparse_diff.sparse_difference_factor(n, diff_budget),
         lambda: fermat.extended_fermat_sparse(n, capped),
-        lambda: pollard_pm1(n, min(smoothness_bound, 100_000)),
+        lambda: pollard_pm1(n, default_smoothness_bound(n.bit_length())),
     ]
     if n < 1 << 56:  # keep the baby-step table desk-sized
         attempts.append(lambda: fermat.bsgs_fermat(n, 2))
@@ -443,8 +408,7 @@ def _audit_blind(n, budget, smoothness_bound, eps):
         except (ValueError, LowOrderBaseError):
             continue
         if result.factored:
-            report = audit(n, result.factors, budget,
-                           smoothness_bound=smoothness_bound, eps=eps)
+            report = audit(n, result.factors, budget)
             witnesses = dict(report.witnesses)
             witnesses["meta"] = dict(witnesses.get("meta", {}))
             witnesses["meta"]["detected_by"] = result.certificate.method
@@ -458,15 +422,6 @@ def _audit_blind(n, budget, smoothness_bound, eps):
 # density counters
 # ---------------------------------------------------------------------------
 
-def _sieve_array(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = False
-    return flags
-
-
 def fermat_count(x: int, multiplier: int = 1) -> tuple[int, int, float]:
     """Exact (F, B, F/B) over semiprimes pq <= x.
 
@@ -477,7 +432,7 @@ def fermat_count(x: int, multiplier: int = 1) -> tuple[int, int, float]:
     if x < 15 or x > 10 ** 8:
         raise ValueError("x must lie in [15, 10^8]")
     limit = x // 3
-    primes = np.flatnonzero(_sieve_array(limit))[1:]  # odd semiprimes only
+    primes = prime_array(limit)[1:]  # odd semiprimes only
     f_count = 0
     b_count = 0
     root = math.isqrt(x)
@@ -505,8 +460,7 @@ def romanoff_count(x: int) -> int:
         raise ValueError("x must lie in [0, 10^7]")
     if x < 3:
         return 0
-    flags = _sieve_array(x)
-    primes = np.flatnonzero(flags)
+    primes = prime_array(x)
     hits = np.zeros(x + 1, dtype=bool)
     power = 1
     while power + 2 <= x:

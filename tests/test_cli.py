@@ -199,14 +199,6 @@ def test_density_tables(capsys):
         assert 0.1866 <= ratio <= 0.9819
 
 
-def test_bench_fixture_suites(capsys):
-    assert run_cli(capsys, "bench", "--suite", "f5")[0] == 0
-    assert run_cli(capsys, "bench", "--suite", "germain")[0] == 0
-    code, out, _ = run_cli(capsys, "bench", "--suite", "desk")
-    assert code == 0
-    assert "trial" in out and "sparseexp" in out
-
-
 @pytest.mark.parametrize("argv,code,status", [
     (["factor", "15049", "--method", "sparsediff", "--k", "2", "--vmax", "8",
       "--seed", "1"], 0, "Factored"),
@@ -347,13 +339,20 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["factor", "2047", "--method", "sparseexp", "--form", "fermat:100"], 64),
     (["factor", "2047", "--method", "sparseexp", "--form",
       "mersenne:99999999999999999999"], 64),
+    # stated factors outside 1 < p <= q, and a record with a fourth field
+    (["audit", "--in", "{trivial}"], 66),
+    (["audit", "--in", "{negative}"], 66),
+    (["audit", "--in", "{extra}"], 66),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
-    corpus = tmp_path / "small.txt"
-    corpus.write_text("10403,101,103\n9\n")  # N = 9 is below the auditor's 15
-    good = tmp_path / "good.txt"
-    good.write_text("10403,101,103\n")
-    argv = [a.format(corpus=corpus, good=good) for a in argv]
+    records = {"corpus": "10403,101,103\n9\n",  # N = 9 is below the auditor's 15
+               "good": "10403,101,103\n", "trivial": "15,1,15\n",
+               "negative": "15,-3,-5\n", "extra": "15,3,5,7\n"}
+    paths = {}
+    for name, text in records.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
     assert "Traceback" not in err

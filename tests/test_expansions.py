@@ -179,18 +179,23 @@ def test_stream_length_closed_form_counts_stream():
     assert stream_length(3, 129, False) == 130 + 16512 + 1365504
 
 
-def test_first_weight_three_value_is_cheap():
+@pytest.mark.parametrize("k,v_max,first", [
     # the stream used to sort the whole weight-3 level at v = 257 (about
     # 11M values, some 800 MiB) before yielding its first value
-    head = stream_length(2, 257, False)  # values of weight 1 and 2
-    stream = sparse_values(3, 257, False)
+    pytest.param(3, 257, 11, id="k3-v257"),
+    # and to build weight 1 as one array of 2^0 ... 2^v, quadratic in v
+    pytest.param(1, 40_000, 1, id="k1-v40000"),
+])
+def test_first_value_of_the_top_weight_is_cheap(k, v_max, first):
+    head = stream_length(k - 1, v_max, False)  # values of lower weight
+    stream = sparse_values(k, v_max, False)
     tracemalloc.start()
     try:
-        first = next(itertools.islice(stream, head, None))
+        got = next(itertools.islice(stream, head, None))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert first == 11 and weight(first) == 3
+    assert got == first and weight(got) == k
     assert peak < 1 << 20
 
 

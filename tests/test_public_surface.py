@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 
 import pytest
 
@@ -8,10 +9,13 @@ from sparsefactor import cli
 _SEARCH_FLAGS = ["--k", "--vmax", "--tmax", "--budget", "--multipliers",
                  "--seed"]
 
-# Each subcommand takes only the flags it reads, and the package exports
-# the engines, the result and budget types, the weak-class tools and the
-# helpers the acceptance criteria use.
+# Each subcommand takes only the flags it reads, a weak class is set by its
+# weight and exponent caps alone, and the package exports the engines, the
+# result and budget types, the weak-class tools and the helpers the
+# acceptance criteria use.
 _SURFACE = {
+    "commands": ["factor", "generate", "audit", "density"],
+    "WeakClassSpec": ["class_id", "k", "v_max"],
     "factor": ["-h", "--help", "--method", "--form", "--trials", "--json",
                "--workers", *_SEARCH_FLAGS],
     "generate": ["-h", "--help", "--class", "--bits", "--count", "--out",
@@ -32,11 +36,9 @@ _SURFACE = {
 }
 
 
-def _option_strings(command):
-    subparsers = next(a for a in cli.build_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return [opt for action in subparsers.choices[command]._actions
-            for opt in action.option_strings]
+def _commands():
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.mark.parametrize("surface", sorted(_SURFACE))
@@ -44,6 +46,11 @@ def test_public_surface_is_pinned(surface):
     if surface == "sparsefactor":
         names = sparsefactor.__all__
         assert all(hasattr(sparsefactor, name) for name in names)
+    elif surface == "commands":
+        names = list(_commands())
+    elif surface == "WeakClassSpec":
+        names = [f.name for f in dataclasses.fields(sparsefactor.WeakClassSpec)]
     else:
-        names = _option_strings(surface)
+        names = [opt for action in _commands()[surface]._actions
+                 for opt in action.option_strings]
     assert sorted(names) == sorted(_SURFACE[surface])

@@ -28,8 +28,6 @@ def test_spec_validation():
         WeakClassSpec("e")
     with pytest.raises(ValueError):
         WeakClassSpec("g", k=0)
-    with pytest.raises(ValueError):
-        WeakClassSpec("c", eps_num=1, eps_den=4)  # epsilon must be < 1/4
     with pytest.raises(ValueError, match="v_max"):
         WeakClassSpec("g", v_max=-1)
 
@@ -146,6 +144,13 @@ def test_audit_requires_consistent_factors():
         audit(10403, (101, 107))
     with pytest.raises(ValueError):
         audit(9)
+
+
+@pytest.mark.parametrize("factors", [(1, 15), (15, 1), (-3, -5)])
+def test_audit_rejects_trivial_or_negative_factors(factors):
+    # (1, 15) once sent the class-a smoothness check into an endless loop
+    with pytest.raises(ValueError, match="exceed 1"):
+        audit(15, factors)
 
 
 def test_audit_blind_detects_sparse_difference():
