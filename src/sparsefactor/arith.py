@@ -6,10 +6,11 @@ value that feeds a factorization decision.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -263,21 +264,47 @@ def trial_division(n: int, bound: int) -> FactorResult:
     return exhausted(ops)
 
 
-POW_BATCH = 64  # stages per pow and gcd in pollard_pm1 and the sparse grid
+POW_BATCH = 64  # exponents per pow in _batched_powers
+
+
+def _batched_powers(x: int, n: int,
+                    exponents: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Raise x by each exponent in turn modulo n; yield (steps, power).
+
+    steps counts the exponents applied so far.  Each run of POW_BATCH
+    exponents takes one pow by its product.  Once x is +-1 modulo a prime
+    p | n, every later power of x is too, so when the run's last value y
+    has gcd(y^2 - 1, n) == 1, no step of the run has gcd(x -+ 1, n) > 1,
+    and only y is yielded.  Any other run is replayed from its start and
+    every step is yielded: a caller that tests each value it is given stops
+    where a test after every step would, and a false flag, such as
+    y = -1 (mod n), only costs a replay.
+    """
+    steps = 0
+    exponents = iter(exponents)
+    while batch := list(itertools.islice(exponents, POW_BATCH)):
+        y = pow(x, math.prod(batch), n)
+        if math.gcd(y * y - 1, n) == 1:
+            x = y
+            steps += len(batch)
+            yield steps, x
+            continue
+        for e in batch:
+            x = pow(x, e, n)
+            steps += 1
+            yield steps, x
 
 
 def pollard_pm1(n: int, smoothness_bound: int, t: int = 2,
                 op_cap: Optional[int] = None) -> FactorResult:
     """Stage-wise p-1 method: exponent = product of prime powers <= bound.
 
-    Each stage raises x to one prime power.  The stages run in batches of
-    POW_BATCH: one pow by the batch's product and one gcd.  A batch whose
-    gcd is not 1 is replayed stage by stage from its start, so the split is
-    the one a gcd after every stage finds (once x is 1 mod a prime factor,
-    every later power is too), and a split survives even when the full
-    exponent would kill both factors at once.  `ops` counts prime stages,
-    summed over the bases: a degenerate gcd == n restarts with the next
-    base, at most 8 in all.  The batch that would pass op_cap is cut short.
+    Each stage raises x to one prime power, and the first power with
+    gcd(x - 1, N) != 1 stops the walk; _batched_powers skips the gcds that
+    cannot stop it.  A split survives even when the full exponent would
+    kill both factors at once.  `ops` counts prime stages, summed over the
+    bases: a degenerate gcd == n restarts with the next base, at most 8 in
+    all.  The stages past op_cap are never run.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
@@ -287,45 +314,27 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2,
         while pe * p <= smoothness_bound:
             pe *= p
         stages.append(pe)
-    batches = [stages[i:i + POW_BATCH]
-               for i in range(0, len(stages), POW_BATCH)]
-    products = [math.prod(batch) for batch in batches]
-    cap = math.inf if op_cap is None else op_cap
     ops = 0
     base = t
     for _ in range(8):
         g = math.gcd(base, n)
-        if 1 < g < n:  # lucky: the base itself shares a factor
-            cert = Certificate(METHOD_POLLARD_PM1,
-                               {"base": base, "bound": smoothness_bound, "divisor": g})
-            return factored(g, n // g, cert, ops)
-        x = base % n
-        for batch, product in zip(batches, products):
-            if ops + len(batch) > cap:
-                batch = batch[:cap - ops]
-                if not batch:
-                    return exhausted(ops)
-                product = math.prod(batch)
-            y = pow(x, product, n)
-            if math.gcd(y - 1, n) == 1:
-                x = y
-                ops += len(batch)
-                continue
-            for pe in batch:
-                x = pow(x, pe, n)
-                ops += 1
+        if not 1 < g < n:  # else lucky: the base itself shares a factor
+            start = ops
+            left = None if op_cap is None else op_cap - ops
+            for steps, x in _batched_powers(base % n, n,
+                                            itertools.islice(stages, left)):
+                ops = start + steps
                 g = math.gcd(x - 1, n)
                 if g != 1:
                     break
-            if g < n:
-                cert = Certificate(
-                    METHOD_POLLARD_PM1,
-                    {"base": base, "bound": smoothness_bound, "divisor": g})
-                return factored(g, n // g, cert, ops)
-            break  # degenerate: gcd == n
-        else:
-            return exhausted(ops)
-        base += 1
+            else:
+                return exhausted(ops)
+        if g < n:
+            cert = Certificate(
+                METHOD_POLLARD_PM1,
+                {"base": base, "bound": smoothness_bound, "divisor": g})
+            return factored(g, n // g, cert, ops)
+        base += 1  # degenerate: gcd == n
         while base % 2 == 0 or base == n:
             base += 1
     return exhausted(ops)

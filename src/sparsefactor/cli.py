@@ -67,18 +67,13 @@ class CorpusRecord:
         fields = [f.strip() for f in body.rstrip(",").split(",") if f.strip()]
         if not fields:
             raise ValueError("empty record")
-        n = int(fields[0])
-        if n < 15:
-            raise ValueError(f"record N = {n} is below 15")
         if len(fields) not in (1, 3):
             raise ValueError("records carry either N or N,p,q")
+        n = int(fields[0])
         p = q = None
         if len(fields) == 3:
             p, q = int(fields[1]), int(fields[2])
-            if not 1 < p <= q:
-                raise ValueError("stated factors must satisfy 1 < p <= q")
-            if p * q != n:
-                raise ValueError(f"stated factors do not multiply to {n}")
+        weakset.check_audit_input(n, None if p is None else (p, q))
         label = None
         comment = comment.strip() or None
         if comment and comment.startswith("class="):

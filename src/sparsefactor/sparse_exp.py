@@ -2,13 +2,14 @@
 
 The accumulated power T^E is tracked modulo N while E itself is never
 materialized: each grid step raises the current power to |A*N + B|.  A step
-splits N when gcd(T^E -+ 1, N) lands strictly between 1 and N.  Steps run
-in batches of POW_BATCH with one pow and one gcd, and a flagged batch is
-replayed step by step.  When the probe degenerates to N, the trace's
-factorization of E into known integer factors allows walking square roots
-of unity downward (w = T^s, T^(2s), ...) to recover a nontrivial root and
-split N anyway.  The grid keeps its trace as plain (A, B) integer pairs;
-NAF digits are written only into a certificate.
+splits N when gcd(T^E -+ 1, N) lands strictly between 1 and N.  The walk
+is arith._batched_powers, the one p-1 runs: one pow and one gcd(y^2 - 1, N)
+per POW_BATCH steps, and a flagged batch replayed step by step.  When the
+probe degenerates to N, the trace's factorization of E into known integer
+factors allows walking square roots of unity downward (w = T^s, T^(2s),
+...) to recover a nontrivial root and split N anyway.  The grid keeps its
+trace as plain (A, B) integer pairs and reads the signed B stream afresh
+for every A row; NAF digits are written only into a certificate.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import expansions
-from .arith import POW_BATCH, is_probable_prime
+from .arith import _batched_powers, is_probable_prime
 from .model import (
     Certificate,
     FactorResult,
@@ -76,6 +78,18 @@ def _digits(value: int) -> list[list[int]]:
     return [[s, e] for s, e in expansions.naf(value).terms]
 
 
+def _unity_split(n: int, base: int, factors: list[int], ops: int,
+                 **extra) -> Optional[FactorResult]:
+    """The unity-root split of T^E == 1 (mod N), E the product of factors."""
+    split = unity_root_recovery(base, factors, n)
+    if split is None:
+        return None
+    cert = Certificate(METHOD_SPARSE_EXPONENT,
+                       {"kind": "unity_root", "factors": factors, "base": base,
+                        "square_ups": split.square_ups, **extra})
+    return factored(split.p, split.q, cert, ops)
+
+
 def _lucky_split(n: int, base: int, g: int, ops: int) -> FactorResult:
     cert = Certificate(METHOD_SPARSE_EXPONENT,
                        {"kind": "lucky", "base": base, "divisor": g})
@@ -98,95 +112,61 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
     if is_probable_prime(n, seed):
         return probable_prime()
     rng = random.Random(seed)
-    # every a row walks the same signed b row: draw it once, lazily
-    b_seen: list[int] = []
-    b_source = expansions.sparse_values(budget.k, budget.v_max, True)
     ops = 0
     for trial in range(trials):
         base = 2 if trial == 0 else rng.randrange(2, n - 1)
         g = math.gcd(base, n)
         if g > 1:
-            if g == n:
-                continue
             return _lucky_split(n, base, g, ops)
-        grid = _grid(n, budget, b_seen, b_source)
-        result, ops = _walk_base(n, base, grid, ops, budget.op_cap)
+        result, ops = _walk_base(n, base, budget, ops)
         if result is not None:
             return result
     return exhausted(ops)
 
 
-def _walk_base(n: int, base: int, grid: Iterator[tuple[int, int, int]],
-               ops: int, op_cap: int) -> tuple[Optional[FactorResult], int]:
-    """Raise base along the grid, POW_BATCH steps per pow and gcd.
+def _walk_base(n: int, base: int, budget: SearchBudget,
+               ops: int) -> tuple[Optional[FactorResult], int]:
+    """Raise base along the grid and test each power _batched_powers yields.
 
     Returns (result, ops); result is None when the base is abandoned or the
-    grid runs dry below the cap.  Once x == +-1 modulo a prime p | N, every
-    later power of x is too, so a batch's last value y has gcd(y^2 - 1, N)
-    = 1 only if no step of the batch would stop on gcd(x -+ 1, N).  Any
-    other batch is replayed step by step from its start, and only the
-    replay judges steps.
+    grid runs dry below the cap.  The grid is a pure function of n and the
+    budget, so a split re-reads its first steps for the certificate.
     """
-    x = base % n
-    steps: list[tuple[int, int, int]] = []
-    while batch := list(itertools.islice(grid, min(POW_BATCH, op_cap - ops))):
-        y = pow(x, math.prod([f for _, _, f in batch]), n)
-        if math.gcd(y * y - 1, n) == 1:
-            x = y
-            ops += len(batch)
-            steps += batch
-            continue
-        for step in batch:
-            ops += 1
-            x = pow(x, step[2], n)
-            steps.append(step)
-            d, side = math.gcd(x - 1, n), -1
-            if d == n:
-                factors = [f for _, _, f in steps]
-                split = unity_root_recovery(base, factors, n)
-                if split is None:
-                    return None, ops
-                cert = Certificate(
-                    METHOD_SPARSE_EXPONENT,
-                    {"kind": "unity_root", "factors": factors, "base": base,
-                     "square_ups": split.square_ups})
-                return factored(split.p, split.q, cert, ops), ops
-            if d == 1:
-                d, side = math.gcd(x + 1, n), 1
-            if 1 < d < n:
-                trace = [[_digits(a), _digits(b)] for a, b, _ in steps]
-                bits = sum(f.bit_length() for _, _, f in steps)
-                cert = Certificate(
-                    METHOD_SPARSE_EXPONENT,
-                    {"kind": "grid", "trace": trace, "base": base,
-                     "gcd_side": side, "exponent_bits": bits})
-                return (factored(min(d, n // d), max(d, n // d), cert, ops),
-                        ops)
+    grid = _grid(n, budget)
+    start = ops
+    factors = map(itemgetter(2), itertools.islice(grid, budget.op_cap - ops))
+    for steps, x in _batched_powers(base % n, n, factors):
+        ops = start + steps
+        d, side = math.gcd(x - 1, n), -1
+        if d == n:
+            taken = itertools.islice(_grid(n, budget), steps)
+            return _unity_split(n, base, [f for *_, f in taken], ops), ops
+        if d == 1:
+            d, side = math.gcd(x + 1, n), 1
+        if 1 < d < n:
+            taken = list(itertools.islice(_grid(n, budget), steps))
+            cert = Certificate(
+                METHOD_SPARSE_EXPONENT,
+                {"kind": "grid",
+                 "trace": [[_digits(a), _digits(b)] for a, b, _ in taken],
+                 "base": base, "gcd_side": side,
+                 "exponent_bits": sum(f.bit_length() for _, _, f in taken)})
+            return factored(min(d, n // d), max(d, n // d), cert, ops), ops
     # at the cap, a grid with a step left exhausts the run; a grid that
     # ran dry exactly at the cap passes on to the next base
-    if ops >= op_cap and next(grid, None) is not None:
+    if ops >= budget.op_cap and next(grid, None) is not None:
         return exhausted(ops), ops
     return None, ops
 
 
-def _grid(n: int, budget: SearchBudget, b_seen: list[int],
-          b_source: Iterator[int]) -> Iterator[tuple[int, int, int]]:
-    """(A, B, |A*N + B|) in grid order, skipping the factors 0 and +-1.
-
-    The b row is read from b_seen, then drawn from b_source and appended,
-    so b_seen stays a prefix of the row shared by every a row and trial.
-    """
+def _grid(n: int, budget: SearchBudget) -> Iterator[tuple[int, int, int]]:
+    """(A, B, |A*N + B|) in grid order, skipping the factors 0 and +-1."""
     # the A = 0 row multiplies plain sparse B factors into the exponent,
     # which scoops up small primes before any A*N + B factor is needed
     a_row = expansions.sparse_values(budget.k, budget.v_max, False)
     for a_val in itertools.chain((0,), a_row):
         a_n = a_val * n
-        for b_val in b_seen:
-            f = a_n + b_val
-            if f > 1 or f < -1:
-                yield a_val, b_val, abs(f)
-        for b_val in b_source:
-            b_seen.append(b_val)
+        for b_val in expansions.sparse_values(budget.k, budget.v_max, True):
             f = a_n + b_val
             if f > 1 or f < -1:
                 yield a_val, b_val, abs(f)
@@ -248,8 +228,6 @@ def cyclotomic_form_factor(n: int, form: tuple[str, int],
     ops = 0
     v_b = max(1, min(budget.v_max, n.bit_length() - period.bit_length() - 1))
     for a_val in expansions.sparse_values(budget.k, budget.v_max, False):
-        if a_val == 0:
-            continue
         for b_val in _negative_first_values(budget.k, v_b):
             e = (n - 1) * a_val + period * b_val
             if e == 0:
@@ -266,12 +244,7 @@ def cyclotomic_form_factor(n: int, form: tuple[str, int],
                      "period": period, "base": base, "steps": ops})
                 return factored(d, n // d, cert, ops)
             if d == n:
-                split = unity_root_recovery(base, [abs(e)], n)
+                split = _unity_split(n, base, [abs(e)], ops, steps=ops)
                 if split is not None:
-                    cert = Certificate(
-                        METHOD_SPARSE_EXPONENT,
-                        {"kind": "unity_root", "factors": [abs(e)],
-                         "base": base, "square_ups": split.square_ups,
-                         "steps": ops})
-                    return factored(split.p, split.q, cert, ops)
+                    return split
     return exhausted(ops)

@@ -310,6 +310,26 @@ def _smooth_part(m: int, primes) -> int:
     return m
 
 
+def check_audit_input(n: int,
+                      factors: Optional[tuple[int, int]] = None) -> None:
+    """Raise ValueError unless n can be audited as a semiprime p*q.
+
+    n must be odd and >= 15.  Stated factors must satisfy 1 < p <= q and
+    p*q == n; without them, n must not be a probable prime.
+    """
+    if n < 15 or n % 2 == 0:
+        raise ValueError(f"N = {n} is not an odd number >= 15")
+    if factors is None:
+        if is_probable_prime(n):
+            raise ValueError(f"N = {n} is a probable prime")
+        return
+    p, q = factors
+    if not 1 < p <= q:
+        raise ValueError("stated factors must exceed 1, with p <= q")
+    if p * q != n:
+        raise ValueError(f"stated factors do not multiply to {n}")
+
+
 def audit(n: int, factors: Optional[tuple[int, int]] = None,
           budget: Optional[SearchBudget] = None) -> WeakClassReport:
     """Classify n into weak classes, with per-class witnesses.
@@ -317,21 +337,19 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
     With known factors, membership is decided by direct arithmetic.
     Without them, budgeted detection engines run and any success recurses
     into the known-factor path; exhaustion means "not detected under
-    budget", never "not weak".
+    budget", never "not weak".  Input that check_audit_input rejects
+    raises ValueError.
     """
-    if n < 15:
-        raise ValueError("n must be >= 15")
+    if factors is not None:
+        factors = tuple(sorted(factors))
+    check_audit_input(n, factors)
     if budget is None:
         budget = SearchBudget.default_for(n)
 
     if factors is None:
         return _audit_blind(n, budget)
 
-    p, q = sorted(factors)
-    if p < 2:
-        raise ValueError("claimed factors must both exceed 1")
-    if p * q != n:
-        raise ValueError("claimed factors do not multiply to n")
+    p, q = factors
     classes: set[str] = set()
     witnesses: dict = {}
     s0 = math.isqrt(n)

@@ -343,11 +343,17 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["audit", "--in", "{trivial}"], 66),
     (["audit", "--in", "{negative}"], 66),
     (["audit", "--in", "{extra}"], 66),
+    # an even N, blind and with stated factors, and a prime N
+    (["audit", "--in", "{even}"], 66),
+    (["audit", "--in", "{even_factors}"], 66),
+    (["audit", "--in", "{prime}"], 66),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     records = {"corpus": "10403,101,103\n9\n",  # N = 9 is below the auditor's 15
                "good": "10403,101,103\n", "trivial": "15,1,15\n",
-               "negative": "15,-3,-5\n", "extra": "15,3,5,7\n"}
+               "negative": "15,-3,-5\n", "extra": "15,3,5,7\n",
+               "even": "16\n", "even_factors": "16,2,8\n",
+               "prime": "10007\n"}
     paths = {}
     for name, text in records.items():
         paths[name] = tmp_path / f"{name}.txt"

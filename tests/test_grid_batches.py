@@ -1,10 +1,10 @@
-"""The batched sparse-exponent grid against a plain per-step loop.
+"""The batched exponent engines against plain per-step loops.
 
-The reference below walks the same grid order as the engine but raises x
-by one factor at a time and takes both gcds after every step, with no
-batching and no shared lazily drawn b row.  The engine must agree with it
-on the whole `result_to_dict` payload: batching may only skip gcds, never
-change a certificate, an op count or the edge at the op cap.
+The references below walk the same grid order, or the same p-1 stages and
+bases, as the engines but raise x by one factor at a time and take the
+gcds after every step, with no batching.  Each engine must agree with its
+reference on the whole `result_to_dict` payload: batching may only skip
+gcds, never change a certificate, an op count or the edge at the op cap.
 """
 
 import itertools
@@ -14,10 +14,11 @@ import random
 import pytest
 
 from conftest import random_semiprime
-from sparsefactor.arith import POW_BATCH
+from sparsefactor.arith import POW_BATCH, pollard_pm1, small_primes
 from sparsefactor.expansions import naf, sparse_values
 from sparsefactor.model import (
     Certificate,
+    METHOD_POLLARD_PM1,
     METHOD_SPARSE_EXPONENT,
     SearchBudget,
     exhausted,
@@ -181,3 +182,58 @@ def test_plus_side_hit_ending_a_batch(case):
         assert got == want
     got = _pair(*case, 5)[0]
     assert (got["ops"], got["witness"]["gcd_side"]) == (5, 1)
+
+
+def ref_pollard_pm1(n, bound, t, op_cap):
+    """p-1 with one pow and one gcd(x - 1, N) per prime stage."""
+    stages = []
+    for p in small_primes(bound):
+        pe = p
+        while pe * p <= bound:
+            pe *= p
+        stages.append(pe)
+    ops = 0
+    base = t
+    for _ in range(8):
+        g = math.gcd(base, n)
+        if not 1 < g < n:
+            x = base % n
+            for pe in stages:
+                if ops >= op_cap:
+                    return exhausted(ops)
+                ops += 1
+                x = pow(x, pe, n)
+                g = math.gcd(x - 1, n)
+                if g != 1:
+                    break
+            else:
+                return exhausted(ops)
+        if g < n:
+            cert = Certificate(METHOD_POLLARD_PM1,
+                               {"base": base, "bound": bound, "divisor": g})
+            return factored(g, n // g, cert, ops)
+        base += 1  # degenerate: restart with the next odd base
+        while base % 2 == 0 or base == n:
+            base += 1
+    return exhausted(ops)
+
+
+def test_pm1_every_cap_matches_per_stage_loop():
+    # bound 1000 has 168 stages, so caps 1-150 cross the batch edges at 64
+    # and 128; the fixed cases degenerate: six bases before a split, all
+    # eight bases, base 1, and bounds with zero or one stage
+    cases = [(1529328643, 1000, 2), (2047, 30, 2), (10403, 1000, 1),
+             (10403, 1, 2), (10403, 2, 2), (91, 100, 2)]
+    rng = random.Random(2028)
+    for _ in range(8):
+        n, _, _ = random_semiprime(rng, rng.choice((24, 32, 40, 48)))
+        cases.append((n, 1000, rng.choice((2, 3, 5))))
+    outcomes = set()
+    for n, bound, t in cases:
+        for cap in range(1, 151):
+            got = result_to_dict(pollard_pm1(n, bound, t, op_cap=cap))
+            want = result_to_dict(ref_pollard_pm1(n, bound, t, cap))
+            assert got == want, (n, bound, t, cap)
+            outcomes.add((got["status"], got["ops"] > 128))
+    # some run splits past the second batch edge, some is capped there
+    assert {("Factored", True), ("Exhausted", True)} <= outcomes

@@ -5,7 +5,12 @@ import pytest
 
 from conftest import random_semiprime
 from sparsefactor import sparse_exp
-from sparsefactor.model import SearchBudget, verify_certificate
+from sparsefactor.model import (
+    Certificate,
+    METHOD_SPARSE_EXPONENT,
+    SearchBudget,
+    verify_certificate,
+)
 from sparsefactor.sparse_exp import (
     cyclotomic_form_factor,
     germain_factor,
@@ -166,6 +171,29 @@ def test_cyclotomic_fermat_number():
     assert (w["a"], w["b"]) == (1, -2)
     assert w["steps"] <= 3
     assert verify_certificate(n, r.certificate)
+
+
+def test_cyclotomic_stops_at_the_op_cap():
+    # F5 splits at step 3; a cap of 2 stops one step short of it
+    n = 4294967297
+    full = cyclotomic_form_factor(n, ("fermat", 5),
+                                  SearchBudget(k=2, v_max=6, t_max=4))
+    capped = [cyclotomic_form_factor(
+        n, ("fermat", 5), SearchBudget(k=2, v_max=6, t_max=4, op_cap=cap))
+        for cap in (2, 3)]
+    assert (capped[0].status, capped[0].ops) == ("Exhausted", 2)
+    assert (capped[1].status, capped[1].ops) == ("Factored", 3)
+    assert capped[1].certificate == full.certificate
+    assert verify_certificate(n, capped[1].certificate)
+
+
+def test_lucky_certificate_reverifies():
+    r = germain_factor(15, 3, base=3)
+    w = r.certificate.witness
+    assert (w["kind"], r.factors, r.ops) == ("lucky", (3, 5), 0)
+    assert verify_certificate(15, r.certificate)
+    wrong = Certificate(METHOD_SPARSE_EXPONENT, {**w, "divisor": 5})
+    assert not verify_certificate(15, wrong)
 
 
 def test_cyclotomic_mersenne_unity_path():

@@ -153,6 +153,15 @@ def test_audit_rejects_trivial_or_negative_factors(factors):
         audit(15, factors)
 
 
+@pytest.mark.parametrize("n, factors", [(16, None), (16, (2, 8)),
+                                        (10007, None)])
+def test_audit_rejects_even_or_prime_n(n, factors):
+    # 16 once audited to classes a, c, d, f, g, and the prime 10007 to
+    # "not detected under budget"
+    with pytest.raises(ValueError, match="odd number|probable prime"):
+        audit(n, factors)
+
+
 def test_audit_blind_detects_sparse_difference():
     rows = generate_weak(WeakClassSpec("g", k=2), 64, 1, seed=21)
     n, p, q, _ = rows[0]
