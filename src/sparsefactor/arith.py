@@ -6,11 +6,14 @@ value that feeds a factorization decision.
 
 from __future__ import annotations
 
+import ctypes
+import ctypes.util
 import itertools
 import math
 import random
+import threading
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -264,7 +267,79 @@ def trial_division(n: int, bound: int) -> FactorResult:
     return exhausted(ops)
 
 
-POW_BATCH = 64  # exponents per pow in _batched_powers
+class _Mpz(ctypes.Structure):
+    """GMP's mpz_t: limbs allocated, signed limbs used, limb pointer."""
+    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int),
+                ("limbs", ctypes.c_void_p)]
+
+
+def _gmp_powmod(gmp) -> Callable[[int, int, int], int]:
+    """pow(x, e, n) on libgmp's mpz_powm, given the loaded library.
+
+    Three mpz registers are set up once and reused under a lock, since
+    ctypes releases the GIL during each call.  Ints cross as little-endian
+    bytes.  The arguments are checked here because GMP aborts the whole
+    process on a zero modulus.
+    """
+    mpz = ctypes.POINTER(_Mpz)
+    size_t, c_int, buf = ctypes.c_size_t, ctypes.c_int, ctypes.c_char_p
+    init, load, powm, store = (gmp.__gmpz_init, gmp.__gmpz_import,
+                               gmp.__gmpz_powm, gmp.__gmpz_export)
+    init.argtypes = [mpz]
+    load.argtypes = [mpz, size_t, c_int, size_t, c_int, size_t, buf]
+    powm.argtypes = [mpz, mpz, mpz, mpz]
+    store.argtypes = [buf, ctypes.POINTER(size_t), c_int, size_t, c_int,
+                      size_t, mpz]
+    init.restype = load.restype = powm.restype = None
+    store.restype = ctypes.c_void_p
+    registers = x_reg, e_reg, n_reg = _Mpz(), _Mpz(), _Mpz()
+    for reg in registers:
+        init(reg)
+    count = size_t()
+    lock = threading.Lock()
+
+    def powmod(x: int, e: int, n: int) -> int:
+        if n < 3 or e < 0 or x < 0:
+            raise ValueError("_powmod needs x >= 0, e >= 0 and n >= 3")
+        out = ctypes.create_string_buffer((n.bit_length() + 7) // 8)
+        with lock:
+            for reg, v in zip(registers, (x, e, n)):
+                size = (v.bit_length() + 7) // 8
+                load(reg, size, -1, 1, 0, 0, v.to_bytes(size, "little"))
+            powm(x_reg, x_reg, e_reg, n_reg)
+            store(out, count, -1, 1, 0, 0, x_reg)
+            return int.from_bytes(out.raw[:count.value], "little")
+
+    return powmod
+
+
+def _load_powmod() -> Callable[[int, int, int], int]:
+    """The GMP kernel when libgmp can be found and loaded, else builtin pow.
+
+    Both compute the same exact integer, so nothing downstream can tell
+    them apart; the kernel's `library` attribute names what it loaded.
+    Importing ctypes.util and find_library's one `ldconfig -p` cost about
+    8 ms at import (2.1 GHz Xeon).
+    """
+    path = ctypes.util.find_library("gmp")
+    if path is None:
+        return pow
+    try:
+        gmp = ctypes.CDLL(path)
+    except OSError:
+        return pow
+    kernel = _gmp_powmod(gmp)
+    kernel.library = path
+    return kernel
+
+
+# Modular power for _batched_powers.  The GMP kernel's ctypes calls cost
+# about 9 us on top of mpz_powm (2.1 GHz Xeon), more than a builtin pow by
+# a 16-bit exponent modulo 256 bits takes in all, so small powers, such as
+# Miller-Rabin's, stay on builtin pow.
+_powmod = _load_powmod()
+
+POW_BATCH = 64  # exponents per _powmod in _batched_powers
 
 
 def _batched_powers(x: int, n: int,
@@ -272,7 +347,7 @@ def _batched_powers(x: int, n: int,
     """Raise x by each exponent in turn modulo n; yield (steps, power).
 
     steps counts the exponents applied so far.  Each run of POW_BATCH
-    exponents takes one pow by its product.  Once x is +-1 modulo a prime
+    exponents takes one _powmod by its product.  Once x is +-1 modulo a prime
     p | n, every later power of x is too, so when the run's last value y
     has gcd(y^2 - 1, n) == 1, no step of the run has gcd(x -+ 1, n) > 1,
     and only y is yielded.  Any other run is replayed from its start and
@@ -283,14 +358,14 @@ def _batched_powers(x: int, n: int,
     steps = 0
     exponents = iter(exponents)
     while batch := list(itertools.islice(exponents, POW_BATCH)):
-        y = pow(x, math.prod(batch), n)
+        y = _powmod(x, math.prod(batch), n)
         if math.gcd(y * y - 1, n) == 1:
             x = y
             steps += len(batch)
             yield steps, x
             continue
         for e in batch:
-            x = pow(x, e, n)
+            x = _powmod(x, e, n)
             steps += 1
             yield steps, x
 

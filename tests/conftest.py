@@ -1,6 +1,12 @@
 import random
 
+from sparsefactor import arith
 from sparsefactor.arith import is_probable_prime
+
+
+def pytest_report_header():
+    # which modular-power kernel the exponent engines ran in this session
+    return f"powmod: {getattr(arith._powmod, 'library', 'builtin pow')}"
 
 
 def random_prime(rng: random.Random, bits: int) -> int:

@@ -1,6 +1,7 @@
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from sparsefactor import arith
@@ -179,3 +180,57 @@ def test_small_primes_cached_but_fresh():
     first.append(0)  # callers own the list they get back
     assert arith.small_primes(1 << 16)[-1] == 65521
     assert arith.small_primes(1 << 16) is not arith.small_primes(1 << 16)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(n_bits=st.integers(3, 600), odd=st.booleans(), above_n=st.booleans(),
+       e_bits=st.integers(0, 12000), rng=st.randoms(use_true_random=False))
+def test_powmod_equals_builtin_pow(n_bits, odd, above_n, e_bits, rng):
+    # odd and even n below 2^600, x below 2n, e below 2^12000; drawing the
+    # sizes and sides first keeps every one of them in play
+    n = rng.getrandbits(n_bits - 1) | 1 << (n_bits - 1)
+    n = n | 1 if odd else n & -2
+    x = rng.randrange(n) + above_n * n
+    e = rng.getrandbits(e_bits)
+    assert arith._powmod(x, e, n) == pow(x, e, n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 1 << 64, (1 << 521) - 1])
+def test_powmod_edge_rows(n):
+    for x in (0, 1, n - 1, n, 2 * n - 1):
+        for e in (0, 1, 2, 3, (1 << 200) + 1):
+            assert arith._powmod(x, e, n) == pow(x, e, n), (x, e)
+
+
+def test_gmp_kernel_checks_arguments_before_calling_gmp():
+    # GMP aborts the process on a zero modulus, so the kernel must refuse
+    # bad arguments itself; a stand-in library records what it is asked
+    calls = []
+
+    class StandIn:
+        def __getattr__(self, name):
+            return lambda *args: calls.append(name)
+
+    kernel = arith._gmp_powmod(StandIn())
+    assert calls == ["__gmpz_init"] * 3
+    for x, e, n in [(2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 3, -7), (2, -1, 7),
+                    (-1, 3, 7)]:
+        with pytest.raises(ValueError):
+            kernel(x, e, n)
+    assert calls == ["__gmpz_init"] * 3
+    kernel(2, 3, 7)
+    assert calls[3:] == ["__gmpz_import"] * 3 + ["__gmpz_powm",
+                                                  "__gmpz_export"]
+
+
+def _refuse_to_load(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("found, cdll", [(None, None),
+                                         ("libgmp.so.10", _refuse_to_load)])
+def test_powmod_loader_falls_back_to_builtin_pow(monkeypatch, found, cdll):
+    monkeypatch.setattr(arith.ctypes.util, "find_library", lambda name: found)
+    if cdll is not None:
+        monkeypatch.setattr(arith.ctypes, "CDLL", cdll)
+    assert arith._load_powmod() is pow

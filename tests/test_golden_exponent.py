@@ -5,20 +5,30 @@ calls and hashes their `result_to_dict` payloads.  The hashes pin the
 certificates, the op counts and the search order byte for byte, so a
 faster loop has to reproduce every payload exactly.  The coverage
 assertions keep the hashed set honest: it has to reach the outcomes that a
-loop rewrite could get wrong.
+loop rewrite could get wrong.  Each test runs twice: on the modular-power
+kernel `arith` loaded, and on builtin `pow`, so both paths meet one hash.
 """
 
 import hashlib
 import json
 import random
 
+import pytest
+
 from conftest import random_semiprime
+from sparsefactor import arith
 from sparsefactor.arith import pollard_pm1
 from sparsefactor.model import SearchBudget, result_to_dict
 from sparsefactor.sparse_exp import sparse_exponent_factor
 
 GRID_SHA256 = "49d16fbf88f76ee6d18b86a52266dd9ad4b3e4dae42085f40bca1fe54d265a4d"
 PM1_SHA256 = "a54771bd0bbf56f9b8a0e341e3256af33cf3fc08dc2a2d60b7501781b07770b1"
+
+
+@pytest.fixture(params=["loaded", "builtin"])
+def kernel(request, monkeypatch):
+    if request.param == "builtin":
+        monkeypatch.setattr(arith, "_powmod", pow)
 
 
 def _digest(payloads: list[dict]) -> str:
@@ -75,7 +85,7 @@ def _pm1_payloads() -> list[dict]:
             for n, bound, base in cases]
 
 
-def test_grid_payloads_golden():
+def test_grid_payloads_golden(kernel):
     payloads = _grid_payloads()
     kinds = [p["witness"].get("kind") for p in payloads if "witness" in p]
     assert kinds.count("grid") >= 100 and kinds.count("unity_root") >= 2
@@ -85,7 +95,7 @@ def test_grid_payloads_golden():
     assert _digest(payloads) == GRID_SHA256
 
 
-def test_pm1_payloads_golden():
+def test_pm1_payloads_golden(kernel):
     payloads = _pm1_payloads()
     assert [p["ops"] for p in payloads[:7]] == [30, 63, 64, 65, 66, 128, 129]
     assert payloads[7]["witness"]["base"] == "13"

@@ -5,16 +5,24 @@ bases, as the engines but raise x by one factor at a time and take the
 gcds after every step, with no batching.  Each engine must agree with its
 reference on the whole `result_to_dict` payload: batching may only skip
 gcds, never change a certificate, an op count or the edge at the op cap.
+The references keep builtin `pow`, so the engines' modular-power kernel is
+held to it too.
 """
 
 import itertools
 import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from conftest import random_semiprime
-from sparsefactor.arith import POW_BATCH, pollard_pm1, small_primes
+from sparsefactor.arith import (
+    POW_BATCH,
+    is_probable_prime,
+    pollard_pm1,
+    small_primes,
+)
 from sparsefactor.expansions import naf, sparse_values
 from sparsefactor.model import (
     Certificate,
@@ -237,3 +245,26 @@ def test_pm1_every_cap_matches_per_stage_loop():
             outcomes.add((got["status"], got["ops"] > 128))
     # some run splits past the second batch edge, some is capped there
     assert {("Factored", True), ("Exhausted", True)} <= outcomes
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(bits=st.sampled_from(range(20, 49)), balanced=st.booleans(),
+       cap=st.sampled_from(range(1, 301)), k=st.integers(1, 3),
+       v=st.integers(2, 8), trials=st.integers(1, 3), seed=st.integers(0, 20),
+       bound=st.sampled_from((10, 100, 1000, 10000)),
+       base=st.sampled_from((2, 3, 5)), rng=st.randoms(use_true_random=False))
+def test_engines_match_references_on_drawn_n(bits, balanced, cap, k, v,
+                                             trials, seed, bound, base, rng):
+    # an odd composite of about the drawn size: a balanced semiprime, which
+    # takes many steps to split, or any odd composite; the op cap is drawn
+    # evenly from 1-300, so runs end on both sides of the batch edges
+    if balanced:
+        n, _, _ = random_semiprime(rng, bits)
+    else:
+        n = 3  # a prime, so the loop draws at least once
+        while is_probable_prime(n):
+            n = rng.getrandbits(bits - 1) | 1 << (bits - 1) | 1
+    got, want = _pair(n, k, v, trials, seed, cap)
+    assert got == want
+    got = result_to_dict(pollard_pm1(n, bound, base, op_cap=cap))
+    assert got == result_to_dict(ref_pollard_pm1(n, bound, base, cap))
