@@ -51,19 +51,30 @@ def iroot(n: int, d: int) -> int:
     return x
 
 
-def _square_residue_mask(m: int) -> int:
-    mask = 0
-    for i in range(m):
-        mask |= 1 << (i * i % m)
-    return mask
+# The residue filter.  x is a square modulo 4032 = 64 * 63 and modulo
+# 715 = 65 * 11 exactly when, by the CRT, it is one modulo 64, 63, 65 and
+# 11; together they reject > 99% of non-squares before the isqrt check.
+# SIEVE_MODULUS is their product: reducing a value by it once keeps every
+# residue exact at any size.
+_SIEVE_MODULI = (64 * 63, 65 * 11)
+SIEVE_MODULUS = 64 * 63 * 65 * 11
+# Longest run of consecutive x one sieve lookup covers.
+SIEVE_BLOCK = 4096
 
 
-# Quadratic-residue bitmasks: together they reject > 99% of non-squares
-# before the isqrt confirmation.
-_MASK64 = _square_residue_mask(64)
-_MASK63 = _square_residue_mask(63)
-_MASK65 = _square_residue_mask(65)
-_MASK11 = _square_residue_mask(11)
+def _residue_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """i^2 mod m for i < m, and flags whose entry r < 2m says whether
+    r mod m is a square modulo m."""
+    squares = np.arange(m) ** 2 % m
+    flags = np.zeros(2 * m, dtype=bool)
+    flags[squares] = flags[squares + m] = True
+    return squares, flags
+
+
+_RESIDUE_TABLES = tuple(map(_residue_tables, _SIEVE_MODULI))
+# The same flags as bytes, for one lookup per modulus on a Python int.
+_IS_SQUARE_4032, _IS_SQUARE_715 = (flags.tobytes()
+                                   for _, flags in _RESIDUE_TABLES)
 
 
 def perfect_square(n: int):
@@ -71,74 +82,42 @@ def perfect_square(n: int):
 
     The modular pre-filter is sound: it never rejects a true square.
     """
-    if n < 0:
-        return None
-    if not (_MASK64 >> (n & 63)) & 1:
-        return None
-    if not (_MASK63 >> (n % 63)) & 1:
-        return None
-    if not (_MASK65 >> (n % 65)) & 1:
-        return None
-    if not (_MASK11 >> (n % 11)) & 1:
+    if n < 0 or not _IS_SQUARE_4032[n % 4032] or not _IS_SQUARE_715[n % 715]:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-# The same four moduli drive the scan sieve.  SIEVE_MODULUS is their product:
-# reducing a value by it once keeps every residue exact at any size.
-_SIEVE_MODULI = (64, 63, 65, 11)
-SIEVE_MODULUS = 64 * 63 * 65 * 11
-# Longest run of consecutive x one sieve lookup covers.
-SIEVE_BLOCK = 4096
-
-
-def _square_flags_twice(m: int, mask: int) -> np.ndarray:
-    # entry r (r < 2m) says whether r mod m is a square modulo m
-    return np.array([(mask >> (r % m)) & 1 for r in range(2 * m)], dtype=bool)
-
-
-# Per modulus: i^2 mod m for i < m, and the doubled square flags.
-_SQUARES_OF = tuple(np.arange(m) ** 2 % m for m in _SIEVE_MODULI)
-_IS_SQUARE_TWICE = tuple(
-    _square_flags_twice(m, mask)
-    for m, mask in zip(_SIEVE_MODULI, (_MASK64, _MASK63, _MASK65, _MASK11)))
 
 
 class SquareSieve:
     """Residue sieve for "is x*x - c a perfect square?" over runs of x.
 
     Whether x^2 - c is a square modulo m depends only on x mod m, so one
-    small table per modulus, repeated out to m + SIEVE_BLOCK entries,
-    answers it for SIEVE_BLOCK consecutive x as one slice.  Since
-    (-x)^2 = x^2, the same slice taken at -x0 mod m covers x0, x0 - 1, ...
-    Like the filter in perfect_square the sieve never rejects a true
-    square: survivors still need the exact check, root().  Knuth, TAOCP
-    vol. 2, 4.5.4; McKee, "Speeding Fermat's factoring method", Math. Comp.
-    68 (1999).
+    table per modulus of the filter above, 4032 and 715, repeated out to
+    m + SIEVE_BLOCK entries, answers it for SIEVE_BLOCK consecutive x as
+    one slice.  Since (-x)^2 = x^2, the same slice taken at -x0 mod m
+    covers x0, x0 - 1, ...  Like perfect_square the sieve never rejects a
+    true square: survivors still need the exact check, root().  Knuth,
+    TAOCP vol. 2, 4.5.4; McKee, "Speeding Fermat's factoring method", Math.
+    Comp. 68 (1999).
     """
 
     def __init__(self, c: int):
         self.c = c
         tables = []
-        for m, squares, flags in zip(_SIEVE_MODULI, _SQUARES_OF,
-                                     _IS_SQUARE_TWICE):
+        for m, (squares, flags) in zip(_SIEVE_MODULI, _RESIDUE_TABLES):
             shift = m - c % m
             # period[i]: is (i^2 - c) mod m a square?
             period = flags[shift:shift + m][squares]
             table = np.empty((SIEVE_BLOCK // m + 2, m), dtype=bool)
             table[:] = period
-            tables.append(table.ravel())
+            tables.append((m, table.ravel()))
         self._tables = tuple(tables)
 
     def _run(self, x0: int, step: int, count: int) -> np.ndarray:
         """Survival mask of x0 + step*j for j < count; step is +1 or -1."""
-        ok = None
-        for m, table in zip(_SIEVE_MODULI, self._tables):
-            start = step * x0 % m
-            part = table[start:start + count]
-            ok = part.copy() if ok is None else np.logical_and(ok, part, out=ok)
-        return ok
+        (m1, t1), (m2, t2) = self._tables
+        i, j = step * x0 % m1, step * x0 % m2
+        return t1[i:i + count] & t2[j:j + count]
 
     def ascending(self, x0: int, count: int) -> np.ndarray:
         """Ascending j < count (at most SIEVE_BLOCK) where x0 + j survives."""
@@ -159,11 +138,8 @@ class SquareSieve:
 
     def values(self, x_mod: np.ndarray) -> np.ndarray:
         """Survival mask of x, given x mod SIEVE_MODULUS per value."""
-        ok = None
-        for m, table in zip(_SIEVE_MODULI, self._tables):
-            hit = table[x_mod % m]
-            ok = hit if ok is None else np.logical_and(ok, hit, out=ok)
-        return ok
+        (m1, t1), (m2, t2) = self._tables
+        return t1[x_mod % m1] & t2[x_mod % m2]
 
     def root(self, x: int):
         """Exact y with y*y == x*x - c, or None."""

@@ -163,16 +163,23 @@ def _sparse_exp(n: int, budget: SearchBudget, args) -> FactorResult:
     return sparse_exponent_factor(n, budget, trials=trials, seed=budget.seed)
 
 
-# --method -> (run(n, budget, args), the optional flags it reads).  Each run
-# looks its engine up by name when called, so a rebound module attribute
-# (a tracer's wrapper, say) is the one that runs.
+# Optional factor flags a method may or may not read; --budget, --seed and
+# the ignored --workers are taken by every method.
+_METHOD_FLAGS = ("k", "vmax", "tmax", "multipliers", "form", "trials")
+
+# --method -> (run(n, budget, args), the flags of _METHOD_FLAGS it reads).
+# Each run looks its engine up by name when called, so a rebound module
+# attribute (a tracer's wrapper, say) is the one that runs.
 ENGINES = {
-    "auto": (_auto_cascade, ("trials",)),
-    "fermat": (lambda n, b, _: classic_fermat(n, min(b.t_max, b.op_cap)), ()),
-    "xfermat": (lambda n, b, _: extended_fermat_sparse(n, b), ()),
+    "auto": (_auto_cascade, ("k", "vmax", "tmax", "multipliers", "trials")),
+    "fermat": (lambda n, b, _: classic_fermat(n, min(b.t_max, b.op_cap)),
+               ("tmax",)),
+    "xfermat": (lambda n, b, _: extended_fermat_sparse(n, b),
+                ("k", "vmax", "tmax")),
     "bsgs": (lambda n, b, _: _bsgs_with_retries(n, b.seed, b.op_cap), ()),
-    "sparsediff": (lambda n, b, _: sparse_difference_factor(n, b), ()),
-    "sparseexp": (_sparse_exp, ("form", "trials")),
+    "sparsediff": (lambda n, b, _: sparse_difference_factor(n, b),
+                   ("k", "vmax", "multipliers")),
+    "sparseexp": (_sparse_exp, ("k", "vmax", "form", "trials")),
     # at most --budget divisors 2, 3, 5, ..., 2 * budget - 1
     "trial": (lambda n, b, args: trial_division(
         n, 2 * (args.budget or 500_000) - 1), ()),
@@ -192,7 +199,7 @@ def _preamble(n: int, seed: int) -> Optional[FactorResult]:
 
 def _solve(n: int, args) -> FactorResult:
     run, reads = ENGINES[args.method]
-    for flag in ("form", "trials"):
+    for flag in _METHOD_FLAGS:
         if getattr(args, flag) is not None and flag not in reads:
             raise ValueError(f"--{flag} is not read by --method {args.method}")
     if args.trials is not None and args.trials < 1:

@@ -67,15 +67,13 @@ class WeakClassSpec:
 # ---------------------------------------------------------------------------
 
 _MAX_TRIES = 10_000
-_SCREEN_PRIMES = small_primes(1000)[1:]  # cheap rejection before Miller-Rabin
+# the odd primes below 1000: one gcd rejects before Miller-Rabin
+_SCREEN_PRODUCT = math.prod(small_primes(1000)[1:])
 
 
 def _screened_prime(cand: int) -> bool:
-    if cand < 10 ** 6:
-        return is_probable_prime(cand)
-    for p in _SCREEN_PRIMES:
-        if cand % p == 0:
-            return False
+    if cand >= 10 ** 6 and math.gcd(cand, _SCREEN_PRODUCT) != 1:
+        return False
     return is_probable_prime(cand)
 
 

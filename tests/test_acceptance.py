@@ -295,7 +295,7 @@ def test_criterion_9_seeded_determinism(capsys):
             [str(EX_N), "--method", "xfermat", "--k", "5", "--vmax", "12",
              "--tmax", "1642", "--seed", "3"],
             ["15049", "--method", "sparsediff", "--k", "2", "--vmax", "8",
-             "--tmax", "8", "--multipliers", "1", "--seed", "3"]):
+             "--multipliers", "1", "--seed", "3"]):
         for workers in ("1", "4"):
             cli.main(["factor", *argv, "--workers", workers, "--json"])
             payload = json.loads(capsys.readouterr().out)

@@ -42,6 +42,9 @@ def test_perfect_square_exhaustive_against_isqrt():
         r = math.isqrt(n)
         expect = r if r * r == n else None
         assert arith.perfect_square(n) == expect
+    # r^2 modulo 4032 and 715 repeats with period lcm(2016, 715) in r, so
+    # these squares meet every residue pair a square can have
+    assert all(arith.perfect_square(r * r) == r for r in range(1_441_440))
 
 
 def test_perfect_square_large_random():

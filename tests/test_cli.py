@@ -293,7 +293,7 @@ def test_usage_error_exit(capsys):
 
 _MAIN_SEQUENCE = [
     (["factor", "10403", "--method", "xfermat", "--k", "1", "--vmax", "4",
-      "--multipliers", "1,2", "--seed", "7", "--json"], 0),
+      "--seed", "7", "--json"], 0),
     (["factor", "10403", "--method", "trial"], 0),
     (["generate", "--class", "b", "--bits", "64", "--k", "2", "--seed", "3"],
      0),
@@ -347,6 +347,14 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["audit", "--in", "{even}"], 66),
     (["audit", "--in", "{even_factors}"], 66),
     (["audit", "--in", "{prime}"], 66),
+    # a search flag the chosen method does not read
+    (["factor", "10403", "--method", "trial", "--k", "3"], 64),
+    (["factor", "10403", "--method", "bsgs", "--vmax", "4"], 64),
+    (["factor", "10403", "--method", "fermat", "--multipliers", "1,2"], 64),
+    (["factor", "10403", "--method", "xfermat", "--multipliers", "1,2"], 64),
+    (["factor", "10403", "--method", "sparsediff", "--tmax", "8"], 64),
+    (["factor", "10403", "--method", "sparseexp", "--tmax", "8"], 64),
+    (["factor", "10403", "--method", "pm1", "--k", "2"], 64),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     records = {"corpus": "10403,101,103\n9\n",  # N = 9 is below the auditor's 15

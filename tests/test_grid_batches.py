@@ -1,98 +1,24 @@
 """The batched exponent engines against plain per-step loops.
 
-The references below walk the same grid order, or the same p-1 stages and
-bases, as the engines but raise x by one factor at a time and take the
-gcds after every step, with no batching.  Each engine must agree with its
-reference on the whole `result_to_dict` payload: batching may only skip
-gcds, never change a certificate, an op count or the edge at the op cap.
-The references keep builtin `pow`, so the engines' modular-power kernel is
-held to it too.
+The references in `reference.py` walk the same grid order, or the same
+p-1 stages and bases, as the engines but raise x by one factor at a time
+and take the gcds after every step, with no batching.  Each engine must
+agree with its reference on the whole `result_to_dict` payload: batching
+may only skip gcds, never change a certificate, an op count or the edge at
+the op cap.  The references keep builtin `pow`, so the engines'
+modular-power kernel is held to it too.
 """
 
-import itertools
-import math
 import random
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from conftest import random_semiprime
-from sparsefactor.arith import (
-    POW_BATCH,
-    is_probable_prime,
-    pollard_pm1,
-    small_primes,
-)
-from sparsefactor.expansions import naf, sparse_values
-from sparsefactor.model import (
-    Certificate,
-    METHOD_POLLARD_PM1,
-    METHOD_SPARSE_EXPONENT,
-    SearchBudget,
-    exhausted,
-    factored,
-    result_to_dict,
-)
-from sparsefactor.sparse_exp import sparse_exponent_factor, unity_root_recovery
-
-
-def ref_grid(n, k, v_max):
-    for a in itertools.chain((0,), sparse_values(k, v_max, False)):
-        for b in sparse_values(k, v_max, True):
-            f = a * n + b
-            if abs(f) > 1:
-                yield a, b, abs(f)
-
-
-def _digits(value):
-    return [[s, e] for s, e in naf(value).terms]
-
-
-def ref_sparse_exponent(n, budget, trials, seed, powers=None):
-    """The per-step loop for odd composite n; appends each x to powers."""
-    rng = random.Random(seed)
-    ops = 0
-    for trial in range(trials):
-        base = 2 if trial == 0 else rng.randrange(2, n - 1)
-        g = math.gcd(base, n)
-        if g > 1:
-            if g == n:
-                continue
-            cert = Certificate(METHOD_SPARSE_EXPONENT,
-                               {"kind": "lucky", "base": base, "divisor": g})
-            return factored(g, n // g, cert, ops)
-        x = base % n
-        steps = []
-        for step in ref_grid(n, budget.k, budget.v_max):
-            if ops >= budget.op_cap:
-                return exhausted(ops)
-            ops += 1
-            x = pow(x, step[2], n)
-            if powers is not None:
-                powers.append(x)
-            steps.append(step)
-            d, side = math.gcd(x - 1, n), -1
-            if d == n:
-                factors = [f for _, _, f in steps]
-                split = unity_root_recovery(base, factors, n)
-                if split is None:
-                    break
-                cert = Certificate(
-                    METHOD_SPARSE_EXPONENT,
-                    {"kind": "unity_root", "factors": factors, "base": base,
-                     "square_ups": split.square_ups})
-                return factored(split.p, split.q, cert, ops)
-            if d == 1:
-                d, side = math.gcd(x + 1, n), 1
-            if 1 < d < n:
-                cert = Certificate(
-                    METHOD_SPARSE_EXPONENT,
-                    {"kind": "grid",
-                     "trace": [[_digits(a), _digits(b)] for a, b, _ in steps],
-                     "base": base, "gcd_side": side,
-                     "exponent_bits": sum(f.bit_length() for _, _, f in steps)})
-                return factored(min(d, n // d), max(d, n // d), cert, ops)
-    return exhausted(ops)
+from reference import ref_grid, ref_pollard_pm1, ref_sparse_exponent
+from sparsefactor.arith import POW_BATCH, is_probable_prime, pollard_pm1
+from sparsefactor.model import SearchBudget, result_to_dict
+from sparsefactor.sparse_exp import sparse_exponent_factor
 
 
 def _pair(n, k, v, trials, seed, cap):
@@ -190,40 +116,6 @@ def test_plus_side_hit_ending_a_batch(case):
         assert got == want
     got = _pair(*case, 5)[0]
     assert (got["ops"], got["witness"]["gcd_side"]) == (5, 1)
-
-
-def ref_pollard_pm1(n, bound, t, op_cap):
-    """p-1 with one pow and one gcd(x - 1, N) per prime stage."""
-    stages = []
-    for p in small_primes(bound):
-        pe = p
-        while pe * p <= bound:
-            pe *= p
-        stages.append(pe)
-    ops = 0
-    base = t
-    for _ in range(8):
-        g = math.gcd(base, n)
-        if not 1 < g < n:
-            x = base % n
-            for pe in stages:
-                if ops >= op_cap:
-                    return exhausted(ops)
-                ops += 1
-                x = pow(x, pe, n)
-                g = math.gcd(x - 1, n)
-                if g != 1:
-                    break
-            else:
-                return exhausted(ops)
-        if g < n:
-            cert = Certificate(METHOD_POLLARD_PM1,
-                               {"base": base, "bound": bound, "divisor": g})
-            return factored(g, n // g, cert, ops)
-        base += 1  # degenerate: restart with the next odd base
-        while base % 2 == 0 or base == n:
-            base += 1
-    return exhausted(ops)
 
 
 def test_pm1_every_cap_matches_per_stage_loop():

@@ -4,17 +4,29 @@ import dataclasses
 import pytest
 
 import sparsefactor
-from sparsefactor import cli
+from sparsefactor import arith, cli
 
 _SEARCH_FLAGS = ["--k", "--vmax", "--tmax", "--budget", "--multipliers",
                  "--seed"]
 
-# Each subcommand takes only the flags it reads, a weak class is set by its
-# weight and exponent caps alone, and the package exports the engines, the
-# result and budget types, the weak-class tools and the helpers the
-# acceptance criteria use.
+# Each subcommand takes only the flags it reads, each --method names the
+# optional factor flags it reads, a weak class is set by its weight and
+# exponent caps alone, the square scans query their sieve through four
+# methods, and the package exports the engines, the result and budget
+# types, the weak-class tools and the helpers the acceptance criteria use.
 _SURFACE = {
     "commands": ["factor", "generate", "audit", "density"],
+    "ENGINES": ["auto", "fermat", "xfermat", "bsgs", "sparsediff", "sparseexp",
+                "trial", "pm1"],
+    "ENGINES.auto": ["k", "vmax", "tmax", "multipliers", "trials"],
+    "ENGINES.fermat": ["tmax"],
+    "ENGINES.xfermat": ["k", "vmax", "tmax"],
+    "ENGINES.bsgs": [],
+    "ENGINES.sparsediff": ["k", "vmax", "multipliers"],
+    "ENGINES.sparseexp": ["k", "vmax", "form", "trials"],
+    "ENGINES.trial": [],
+    "ENGINES.pm1": [],
+    "SquareSieve": ["ascending", "values", "zigzag", "root"],
     "WeakClassSpec": ["class_id", "k", "v_max"],
     "factor": ["-h", "--help", "--method", "--form", "--trials", "--json",
                "--workers", *_SEARCH_FLAGS],
@@ -48,6 +60,13 @@ def test_public_surface_is_pinned(surface):
         assert all(hasattr(sparsefactor, name) for name in names)
     elif surface == "commands":
         names = list(_commands())
+    elif surface == "ENGINES":
+        names = list(cli.ENGINES)
+    elif surface.startswith("ENGINES."):
+        names = list(cli.ENGINES[surface.partition(".")[2]][1])
+    elif surface == "SquareSieve":
+        names = [name for name in vars(arith.SquareSieve)
+                 if not name.startswith("_")]
     elif surface == "WeakClassSpec":
         names = [f.name for f in dataclasses.fields(sparsefactor.WeakClassSpec)]
     else:

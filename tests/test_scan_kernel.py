@@ -1,9 +1,10 @@
 """The residue-sieved scans against plain loops.
 
-Each reference below walks the same canonical probe order as its engine but
-takes an exact square root at every candidate, with no residue filter.  The
-engines must agree with them on status, factors, certificate and ops: the
-sieve may only skip work, never change an outcome or a count.
+Each reference in `reference.py` walks the same canonical probe order as
+its engine but takes an exact square root at every candidate, with no
+residue filter.  The engines must agree with them on status, factors,
+certificate and ops: the sieve may only skip work, never change an outcome
+or a count.
 """
 
 import math
@@ -13,117 +14,26 @@ import numpy as np
 import pytest
 
 from conftest import random_prime, random_semiprime
-from sparsefactor import expansions, fermat, sparse_diff
+from reference import (
+    ref_classic,
+    ref_extended_sparse,
+    ref_offset_scan,
+    ref_sparse_difference,
+)
+from sparsefactor import fermat, sparse_diff
 from sparsefactor.arith import (
     SIEVE_BLOCK,
     SIEVE_MODULUS,
     SquareSieve,
-    iroot,
     is_probable_prime,
-    isqrt_ceil,
 )
-from sparsefactor.model import (
-    Certificate,
-    METHOD_CLASSIC_FERMAT,
-    METHOD_EXTENDED_FERMAT_SPARSE,
-    METHOD_SPARSE_DIFFERENCE,
-    SearchBudget,
-    exhausted,
-    factored,
-)
+from sparsefactor.model import SearchBudget
 
 EX_N = 448316072600119
 
 
-def _root(v):
-    if v < 0:
-        return None
-    r = math.isqrt(v)
-    return r if r * r == v else None
-
-
 def _outcome(r):
     return r.status, r.factors, r.certificate, r.ops
-
-
-def ref_classic(n, max_steps):
-    x = isqrt_ceil(n)
-    ops = 0
-    while ops < max_steps:
-        ops += 1
-        y = _root(x * x - n)
-        if y is not None and x - y > 1:
-            cert = Certificate(METHOD_CLASSIC_FERMAT, {"x": x, "y": y})
-            return factored(x - y, x + y, cert, ops)
-        x += 1
-    return exhausted(ops)
-
-
-def ref_offset_scan(n, anchor, t_max, ops_allowed):
-    ops = 0
-    for t in range(t_max + 1):
-        for x in ((anchor,) if t == 0 else (anchor + t, anchor - t)):
-            if ops >= ops_allowed:
-                return None, ops, True
-            ops += 1
-            if x < 2:
-                continue
-            y = _root(x * x - 4 * n)
-            if y is not None and x - y > 2:
-                return (x - anchor, x, y), ops, False
-    return None, ops, False
-
-
-def ref_extended_sparse(n, budget):
-    s0, f0 = math.isqrt(n), iroot(n, 4)
-    ops = 0
-    for idx, a in enumerate(expansions.sparse_values(budget.k, budget.v_max,
-                                                     True)):
-        if ops >= budget.op_cap:
-            break
-        base = s0 + a * f0
-        if base <= 0:
-            continue
-        hit, used, capped = ref_offset_scan(n, base + n // base, budget.t_max,
-                                            budget.op_cap - ops)
-        ops += used
-        if hit is not None:
-            t, x, y = hit
-            digits = [[s, e] for s, e in expansions.naf(a).terms]
-            cert = Certificate(METHOD_EXTENDED_FERMAT_SPARSE,
-                               {"a": a, "digits": digits, "t": t,
-                                "x": x, "y": y, "index": idx})
-            return factored((x - y) // 2, (x + y) // 2, cert, ops)
-        if capped:
-            break
-    return exhausted(ops)
-
-
-def ref_sparse_difference(n, budget):
-    ops = 0
-    for b in budget.multipliers:
-        four_bn = 4 * b * n
-        for idx, a in enumerate(expansions.sparse_values(budget.k,
-                                                         budget.v_max, False)):
-            for sign_a, sign_bn in sparse_diff.SIGN_PATTERNS:
-                disc = a * a - four_bn if sign_bn > 0 else a * a + four_bn
-                if disc < 0:
-                    continue
-                if ops >= budget.op_cap:
-                    return exhausted(ops)
-                ops += 1
-                r = _root(disc)
-                hit = None if r is None else sparse_diff._extract(a, r, n)
-                if hit is None:
-                    continue
-                p, q, u = hit
-                digits = [[s, e] for s, e in expansions.naf(a).terms]
-                cert = Certificate(
-                    METHOD_SPARSE_DIFFERENCE,
-                    {"a": a, "digits": digits, "b": b, "sign_a": sign_a,
-                     "sign_bn": sign_bn, "u": u, "index": idx})
-                return factored(p, q, cert, ops)
-    return exhausted(ops)
 
 
 def _random_odd_composite(rng):
@@ -139,9 +49,14 @@ def _random_odd_composite(rng):
     return rng.randrange(5, 400) * 2 + 1
 
 
+# squares modulo 64, 63, 65 and 11: the filter's moduli before the CRT
+# fuses them into 4032 and 715
+_SMALL_SQUARES = {m: {r * r % m for r in range(m)} for m in (64, 63, 65, 11)}
+
+
 def _sieve_predicate(c, x):
-    return all((x * x - c) % m in {r * r % m for r in range(m)}
-               for m in (64, 63, 65, 11))
+    return all((x * x - c) % m in squares
+               for m, squares in _SMALL_SQUARES.items())
 
 
 @pytest.mark.parametrize("c", [0, 1, 15, -4 * 10403, 4 * EX_N,
@@ -158,6 +73,18 @@ def test_sieve_matches_residue_predicate(c):
     xs = [x0 + 7919 * j for j in range(300)]
     mask = sieve.values(np.array([x % SIEVE_MODULUS for x in xs]))
     assert [bool(v) for v in mask] == [_sieve_predicate(c, x) for x in xs]
+    # a full block from the last residue of a period reads up to the end of
+    # that modulus' table: ascending from x = -1 (mod m), and the zigzag's
+    # descending half from x = 1 (mod m)
+    for m in (64 * 63, 65 * 11):
+        x1 = x0 - x0 % m + m - 1
+        want = [j for j in range(SIEVE_BLOCK) if _sieve_predicate(c, x1 + j)]
+        assert list(sieve.ascending(x1, SIEVE_BLOCK)) == want
+        x1 += 2
+        order = [x1 - j if i % 2 == 0 else x1 + 1 + j
+                 for j in range(SIEVE_BLOCK) for i in (0, 1)]
+        want = [i for i, x in enumerate(order) if _sieve_predicate(c, x)]
+        assert list(sieve.zigzag(x1, 0, SIEVE_BLOCK)) == want
 
 
 def test_sieve_never_rejects_a_square():
