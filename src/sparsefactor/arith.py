@@ -137,7 +137,7 @@ class SquareSieve:
         return np.flatnonzero(ok)
 
     def values(self, x_mod: np.ndarray) -> np.ndarray:
-        """Survival mask of x, given x mod SIEVE_MODULUS per value."""
+        """Survival mask of x, given x_mod congruent to x mod SIEVE_MODULUS."""
         (m1, t1), (m2, t2) = self._tables
         return t1[x_mod % m1] & t2[x_mod % m2]
 

@@ -69,11 +69,11 @@ class CorpusRecord:
             raise ValueError("empty record")
         if len(fields) not in (1, 3):
             raise ValueError("records carry either N or N,p,q")
-        n = int(fields[0])
-        p = q = None
-        if len(fields) == 3:
-            p, q = int(fields[1]), int(fields[2])
-        weakset.check_audit_input(n, None if p is None else (p, q))
+        n, *pq = map(int, fields)
+        weakset.check_audit_input(n, tuple(pq) or None)
+        if not all(map(is_probable_prime, pq)):
+            raise ValueError("stated factors must be prime")
+        p, q = pq or (None, None)
         label = None
         comment = comment.strip() or None
         if comment and comment.startswith("class="):

@@ -7,7 +7,8 @@ such patterns enumerates canonical values with no duplicates.
 
 The enumeration order is fixed: weight ascending, then absolute value
 ascending, then positive before negative.  Engines record stream indices in
-their certificates, so this order is part of the package contract.
+their certificates, so this order is part of the package contract.  Every
+value is an exact Python int, made in one ascending run per leading exponent.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -79,78 +78,33 @@ def weight(n: int) -> int:
     return (m ^ 3 * m).bit_count()
 
 
-# A NAF led by 2^e is below 2^(e+2)/3, and 2^64/3 < 2^63: up to this v_max
-# every stream value, and every intermediate 2^e +- x, fits in int64.
-_INT64_VMAX = 62
-
-# Most exponents per weight-1 run: below v_max 1024 the level is one run,
-# and above it a run of Python ints holds O(v_max) bytes, not the level's
-# O(v_max^2).
-_WEIGHT1_RUN = 1024
+def _run(e: int, lower: list[int]) -> list[int]:
+    """2^e minus, then plus, each value of lower; 2^e alone at weight 1."""
+    top = 1 << e
+    if not lower:
+        return [top]
+    return [top - x for x in reversed(lower)] + [top + x for x in lower]
 
 
-def _weight_runs(w: int, v_max: int, dtype) -> Iterator[np.ndarray]:
-    """Positive values of exact NAF weight w, exponents <= v_max, ascending.
+def _weight_runs(w: int, v_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(e, lower) per leading exponent e <= v_max of NAF weight w.
 
-    One run per leading exponent e.  A NAF led by 2^e lies in
-    (2^(e+1)/3, 2^(e+2)/3) (the NAF length bound), and these ranges are
-    disjoint for different e, so the runs in order of e are the whole
-    level in ascending order with no sort.  The run for e is 2^e minus,
-    then plus, each weight-(w-1) value with exponents <= e-2: the prefix of
-    the weight-(w-1) level up to leading exponent e-2, grown one run at a
-    time, so nothing is held beyond the values already produced.
+    A NAF led by 2^e lies in (2^(e+1)/3, 2^(e+2)/3) (the NAF length bound),
+    so the runs _run(e, lower) in order of e are the level in ascending
+    order with no sort.  lower, the weight-(w-1) values with exponents <=
+    e-2, ascending, only ever grows at its end, by one run of that level.
     """
-    if w == 1:
-        for e in range(v_max + 1):
-            yield np.array([1 << e], dtype=dtype)
-        return
-    lower = _weight_runs(w - 1, v_max - 2, dtype)
-    # sym[mid - size:mid + size] is -prefix reversed, then prefix: each run
-    # is one add, and the prefix grows in place at both ends
-    sym = np.empty(0, dtype=dtype)
-    mid = size = 0
+    lower: list[int] = []
+    below = _weight_runs(w - 1, v_max - 2)  # lazy: never started at w = 1
     for e in range(2 * (w - 1), v_max + 1):
-        low = next(lower)
-        end = size + len(low)
-        if end > mid:
-            grown = np.empty(4 * end, dtype=dtype)
-            grown[2 * end - size:2 * end + size] = sym[mid - size:mid + size]
-            sym, mid = grown, 2 * end
-        sym[mid + size:mid + end] = low
-        np.negative(low[::-1], out=sym[mid - end:mid - size])
-        size = end
-        yield (1 << e) + sym[mid - size:mid + size]
+        if w > 1:
+            lower += _run(*next(below))
+        yield e, lower
 
 
 def _max_weight(k: int, v_max: int) -> int:
     # weight w needs exponents 0, 2, ..., 2(w-1) <= v_max
     return min(k, v_max // 2 + 1)
-
-
-def _stream_runs(k: int, v_max: int, signed: bool) -> Iterator[np.ndarray]:
-    """The canonical stream cut into consecutive ascending runs.
-
-    Runs are int64 arrays up to v_max = _INT64_VMAX and object arrays of
-    Python ints above it.
-    """
-    dtype = np.int64 if v_max <= _INT64_VMAX else object
-    if signed:
-        yield np.zeros(1, dtype=dtype)
-    for w in range(1, _max_weight(k, v_max) + 1):
-        if w == 1:
-            # long runs here; the one-value runs only feed weight 2
-            exps = range(v_max + 1)
-            runs = (np.array([1 << e for e in exps[lo:lo + _WEIGHT1_RUN]],
-                             dtype=dtype) for lo in exps[::_WEIGHT1_RUN])
-        else:
-            runs = _weight_runs(w, v_max, dtype)
-        for run in runs:
-            if signed:
-                both = np.empty(2 * len(run), dtype=dtype)
-                both[::2] = run
-                np.negative(run, out=both[1::2])
-                run = both
-            yield run
 
 
 def sparse_values(k: int, v_max: int, signed: bool) -> Iterator[int]:
@@ -160,8 +114,14 @@ def sparse_values(k: int, v_max: int, signed: bool) -> Iterator[int]:
     """
     if k < 1 or v_max < 0:
         raise ValueError("need k >= 1 and v_max >= 0")
-    for run in _stream_runs(k, v_max, signed):
-        yield from run.tolist()
+    if signed:
+        yield 0
+    for w in range(1, _max_weight(k, v_max) + 1):
+        for e, lower in _weight_runs(w, v_max):
+            for x in _run(e, lower):
+                yield x
+                if signed:
+                    yield -x
 
 
 def stream_length(k: int, v_max: int, signed: bool) -> int:

@@ -1,15 +1,16 @@
 """Factoring via sparse roots of U^2 +- aU +- bN = 0.
 
 If q - p (or p +- bq for a small multiplier b) is a sparse signed-binary
-integer a, then the quadratic U^2 - aU - bN has an integer root whose gcd
-with N is a proper divisor.  The driver enumerates candidate a values in
-canonical order and tests the four sign patterns of the quadratic; each
-evaluated discriminant counts as one square test against the op cap.
+integer a, then U^2 - aU - bN has an integer root whose gcd with N is a
+proper divisor.  The search takes a in canonical order and tests the sign
+patterns of the quadratic, one op per discriminant; its residue sieve reads
+int64 values congruent to a, and only survivors become Python ints.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 import numpy as np
@@ -48,26 +49,67 @@ def _extract(a: int, r: int, n: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _chunks(runs):
-    """(index, values): the stream cut into arrays of _CHUNK values.
-
-    Short runs are coalesced, so each chunk is one sieve call whatever the
-    run lengths; index is the stream index of values[0].
+def _residue_runs(w: int, v_max: int, below):
+    """(e, lower, res) per run of expansions._weight_runs(w, v_max), with res
+    int64 and congruent to the run mod SIEVE_MODULUS, grown from the level
+    below's residue runs; weight 1 comes in runs of _CHUNK exponents from e.
     """
-    index, pieces, size = 0, [], 0
-    for run in runs:
-        pos = 0
-        while pos < len(run):
-            piece = run[pos:pos + _CHUNK - size]
-            pieces.append(piece)
-            size += len(piece)
-            pos += len(piece)
-            if size == _CHUNK:
-                yield index, np.concatenate(pieces)
-                index += _CHUNK
-                pieces, size = [], 0
-    if pieces:
-        yield index, np.concatenate(pieces)
+    if w == 1:
+        for e in range(0, v_max + 1, _CHUNK):
+            exps = range(e, min(e + _CHUNK, v_max + 1))
+            yield e, [], np.array([pow(2, x, SIEVE_MODULUS) for x in exps])
+        return
+    # sym[mid - size:mid + size] = -prefix reversed + prefix: one add a run
+    sym, mid, size = np.empty(0, dtype=np.int64), 0, 0
+    for e, lower in expansions._weight_runs(w, v_max):
+        low = next(below)
+        end = size + len(low)
+        if end > mid:
+            grown = np.empty(4 * end, dtype=np.int64)
+            grown[2 * end - size:2 * end + size] = sym[mid - size:mid + size]
+            sym, mid = grown, 2 * end
+        sym[mid + size:mid + end] = low
+        np.negative(low[::-1], out=sym[mid - end:mid - size])
+        size = end
+        yield e, lower, pow(2, e, SIEVE_MODULUS) + sym[mid - size:mid + size]
+
+
+def _chunks(k: int, v_max: int, a_min: int):
+    """(a_mod, wide, offsets, pieces) per _CHUNK values of the stream: their
+    residues (_residue_runs) and whether each is >= a_min, in one sieve call
+    however short the runs.  From offsets[r] on, with pieces[r] = (e, lower,
+    mid), position i holds 2^e - lower[mid - 1 - i] below mid and 2^e +
+    lower[i - mid] from mid on, or 2^(e + i - mid) if lower is empty.
+    """
+    parts, offsets, pieces, fill = [], [], [], 0
+    wide = np.zeros(_CHUNK, dtype=bool)
+    top, below = expansions._max_weight(k, v_max), None
+    for w in range(1, top + 1):
+        done = []  # this level's residue runs, which grow the next level's
+        for e, lower, res in _residue_runs(w, v_max, below):
+            if 1 < w < top:
+                done.append(res)
+            # the run ascends: bisects on lower find its first a >= a_min
+            size, j, lead = len(lower), 0, 1 << e
+            split = (size - bisect_right(lower, lead - a_min, 0, size)
+                     + bisect_left(lower, a_min - lead, 0, size) if lower
+                     else (a_min - 1).bit_length() - e)
+            while j < len(res):
+                part = res[j:j + _CHUNK - fill]
+                parts.append(part)
+                offsets.append(fill)
+                pieces.append((e, lower, fill - j + size))
+                if split < j + len(part):
+                    wide[fill + max(split - j, 0):fill + len(part)] = True
+                fill, j = fill + len(part), j + len(part)
+                if fill == _CHUNK:
+                    yield np.concatenate(parts), wide, offsets, pieces
+                    parts, offsets, pieces, fill = [], [], [], 0
+                    wide = np.zeros(_CHUNK, dtype=bool)
+        below = iter(done) if w > 1 else (
+            [pow(2, e, SIEVE_MODULUS)] for e in range(v_max + 1))
+    if parts:
+        yield np.concatenate(parts), wide[:fill], offsets, pieces
 
 
 def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
@@ -89,23 +131,22 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
         below = SquareSieve(four_bn)    # a^2 - 4bN, sign_bn = +1
         above = SquareSieve(-four_bn)   # a^2 + 4bN, sign_bn = -1
         a_min = isqrt_ceil(four_bn)     # a^2 >= 4bN  <=>  a >= a_min
-        runs = expansions._stream_runs(budget.k, budget.v_max, False)
-        for start, chunk in _chunks(runs):
+        chunks = _chunks(budget.k, budget.v_max, a_min)
+        for c, (a_mod, wide, offsets, pieces) in enumerate(chunks):
             if ops >= cap:
                 return exhausted(ops)
             # every value costs at least two ops: sieve none past the cap
             # (a chunk cut short here is the last before the cap)
-            chunk = chunk[:(cap - ops + 1) // 2]
-            # int64 chunks compare exactly with a_min past 2^63 (NEP 50);
-            # object chunks of Python ints keep v_max > 62 exact
-            a_mod = (chunk % SIEVE_MODULUS).astype(np.int64, copy=False)
-            wide = chunk >= a_min
+            keep = (cap - ops + 1) // 2
+            a_mod, wide = a_mod[:keep], wide[:keep]
             cost = np.where(wide, 4, 2)
             first_op = ops + np.cumsum(cost) - cost + 1
             minus = below.values(a_mod) & wide
             plus = above.values(a_mod)
-            for i in np.flatnonzero(minus | plus):
-                a = int(chunk[i])
+            for i in np.flatnonzero(minus | plus).tolist():
+                e, low, mid = pieces[bisect_right(offsets, i) - 1]
+                a = (1 << e + i - mid if not low else (1 << e) + low[i - mid]
+                     if i >= mid else (1 << e) - low[mid - 1 - i])
                 for sieve, sign_bn, op, passed in (
                         (below, 1, first_op[i], minus[i]),
                         (above, -1, first_op[i] + wide[i], plus[i])):
@@ -122,8 +163,7 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
                     cert = Certificate(
                         METHOD_SPARSE_DIFFERENCE,
                         {"a": a, "digits": digits, "b": b, "sign_a": 1,
-                         "sign_bn": sign_bn, "u": u,
-                         "index": start + int(i)})
+                         "sign_bn": sign_bn, "u": u, "index": c * _CHUNK + i})
                     return factored(p, q, cert, int(op))
             ops = min(ops + int(cost.sum()), cap)
     return exhausted(ops)

@@ -355,13 +355,15 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["factor", "10403", "--method", "sparsediff", "--tmax", "8"], 64),
     (["factor", "10403", "--method", "sparseexp", "--tmax", "8"], 64),
     (["factor", "10403", "--method", "pm1", "--k", "2"], 64),
+    # a composite stated factor (35 = 5 * 7)
+    (["audit", "--in", "{composite}"], 66),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     records = {"corpus": "10403,101,103\n9\n",  # N = 9 is below the auditor's 15
                "good": "10403,101,103\n", "trivial": "15,1,15\n",
                "negative": "15,-3,-5\n", "extra": "15,3,5,7\n",
                "even": "16\n", "even_factors": "16,2,8\n",
-               "prime": "10007\n"}
+               "prime": "10007\n", "composite": "105,3,35\n"}
     paths = {}
     for name, text in records.items():
         paths[name] = tmp_path / f"{name}.txt"

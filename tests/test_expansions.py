@@ -3,7 +3,6 @@ import random
 import tracemalloc
 from functools import lru_cache
 
-import numpy as np
 import pytest
 
 from sparsefactor import expansions
@@ -209,24 +208,17 @@ def _top_run(v):
     return [top - x for x in reversed(prefix)] + [top + x for x in prefix]
 
 
-def test_runs_are_int64_up_to_v62():
-    runs = list(expansions._stream_runs(3, 62, False))
-    assert {run.dtype for run in runs} == {np.dtype(np.int64)}
-    # the stream's largest value, 2^62 + 2^60 + 2^58, is its last
-    assert max(int(run.max()) for run in runs) == (1 << 62) + (1 << 60) + (1 << 58)
-    assert runs[-1].tolist() == _top_run(62)
-    signed = list(expansions._stream_runs(3, 62, True))
-    assert {run.dtype for run in signed} == {np.dtype(np.int64)}
-    assert signed[-1][1::2].tolist() == [-x for x in _top_run(62)]
-
-
-def test_runs_are_python_ints_above_v62():
-    runs = list(itertools.islice(expansions._stream_runs(3, 63, True), 70))
-    assert {run.dtype for run in runs} == {np.dtype(object)}
-    assert {type(x) for run in runs for x in run} == {int}
-    last = list(expansions._weight_runs(3, 63, object))[-1]
-    assert last.tolist() == _top_run(63)
-    assert last[-1] == (1 << 63) + (1 << 61) + (1 << 59)
+@pytest.mark.parametrize("v", [62, 63])
+def test_top_run_is_the_streams_last(v):
+    e, lower = list(expansions._weight_runs(3, v))[-1]
+    assert e == v and expansions._run(e, lower) == _top_run(v)
+    # the stream's largest value, 2^v + 2^(v-2) + 2^(v-4), is its last
+    values = list(sparse_values(3, v, False))
+    assert max(values) == values[-1] == (1 << v) + (1 << v - 2) + (1 << v - 4)
+    signed = list(sparse_values(3, v, True))
+    tail = signed[-2 * len(_top_run(v)):]
+    assert tail[::2] == _top_run(v)
+    assert tail[1::2] == [-x for x in _top_run(v)]
 
 
 @pytest.mark.parametrize("v", [20, 62, 63, 90])

@@ -7,6 +7,8 @@ certificate and ops: the sieve may only skip work, never change an outcome
 or a count.
 """
 
+import bisect
+import itertools
 import math
 import random
 
@@ -20,7 +22,7 @@ from reference import (
     ref_offset_scan,
     ref_sparse_difference,
 )
-from sparsefactor import fermat, sparse_diff
+from sparsefactor import expansions, fermat, sparse_diff
 from sparsefactor.arith import (
     SIEVE_BLOCK,
     SIEVE_MODULUS,
@@ -172,6 +174,53 @@ def test_sparse_difference_matches_plain_loop():
                               op_cap=rng.choice((1, 2, 3, 5, 7, 99, 1 << 40)))
         assert _outcome(sparse_diff.sparse_difference_factor(n, budget)) \
             == _outcome(ref_sparse_difference(n, budget)), (n, budget)
+    # values past 2^63, and caps inside the first, second and third chunk
+    # of 2048 values (two or four ops each)
+    rng = random.Random(37)
+    for _ in range(40):
+        n = _random_odd_composite(rng)
+        if is_probable_prime(n):
+            continue
+        budget = SearchBudget(k=rng.choice((1, 2, 3)),
+                              v_max=rng.choice((63, 70, 129)), t_max=4,
+                              multipliers=rng.choice(((1,), (3, 1))),
+                              op_cap=rng.choice((7, 4_097, 5_001, 9_000,
+                                                 13_001)))
+        assert _outcome(sparse_diff.sparse_difference_factor(n, budget)) \
+            == _outcome(ref_sparse_difference(n, budget)), (n, budget)
+
+
+@pytest.mark.parametrize("v", [62, 63, 129])
+@pytest.mark.parametrize("a_min", [(1 << 40) - (1 << 20) + 2,
+                                   (1 << 40) + (1 << 20) + 2])
+def test_sparse_difference_residue_chunks(v, a_min):
+    # the scan sieves int64 values congruent to the stream's values and
+    # rebuilds exact values only for survivors; a_min is itself a value, in
+    # the lower and in the upper half of the run for 2^40
+    exact = list(itertools.islice(
+        expansions.sparse_values(3, v, False), 160_000))
+    sieve = SquareSieve(-4 * 10403)
+    start = 0
+    for a_mod, wide, offsets, pieces in sparse_diff._chunks(3, v, a_min):
+        values = exact[start:start + len(a_mod)]
+        if not values:
+            break
+        assert a_mod.dtype == np.int64
+        a_mod, wide = a_mod[:len(values)], wide[:len(values)]
+        assert (a_mod % SIEVE_MODULUS).tolist() \
+            == [x % SIEVE_MODULUS for x in values]
+        assert (sieve.values(a_mod)
+                == sieve.values(a_mod % SIEVE_MODULUS)).all()
+        assert wide.tolist() == [x >= a_min for x in values]
+        for i, x in enumerate(values):
+            e, lower, mid = pieces[bisect.bisect_right(offsets, i) - 1]
+            if not lower:
+                assert x == 1 << e + i - mid
+            else:
+                assert x == (1 << e) + (lower[i - mid] if i >= mid
+                                        else -lower[mid - 1 - i])
+        start += len(a_mod)
+    assert start == len(exact)
 
 
 def test_sparse_difference_cap_mid_value():

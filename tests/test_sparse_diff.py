@@ -1,4 +1,7 @@
 import random
+import tracemalloc
+
+import pytest
 
 from conftest import random_prime
 from sparsefactor import sparse_diff
@@ -107,3 +110,19 @@ def test_completeness_on_generated_instances():
         assert r.factored and r.factors == (p, q), (n, p, q)
         assert verify_certificate(n, r.certificate)
         assert r.ops <= 4 * stream_length(k, bits // 2, False)
+
+
+@pytest.mark.parametrize("v_max", [10_000, 40_000])
+@pytest.mark.parametrize("k", [1, 3])
+def test_capped_scan_memory_stays_flat_in_v_max(k, v_max):
+    # weight 1 stays lazy: listing 2^0 ... 2^v at once holds about v^2/16
+    # bytes, some 100 MB at v = 40,000
+    budget = SearchBudget(k=k, v_max=v_max, t_max=4, op_cap=2)
+    tracemalloc.start()
+    try:
+        r = sparse_diff.sparse_difference_factor(10403, budget)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.status == "Exhausted" and r.ops == 2
+    assert peak < 2 << 20
