@@ -24,6 +24,8 @@ from .model import (
     METHOD_TRIAL_DIVISION,
     exhausted,
     factored,
+    probable_prime,
+    trivial_or_even,
 )
 
 
@@ -183,6 +185,15 @@ def is_probable_prime(n: int, seed: int = 0) -> bool:
     return all(_miller_rabin_round(n, a, d, s) for a in bases)
 
 
+def preamble(n: int, seed: int) -> Optional[FactorResult]:
+    """A method's answer before its search: TrivialInput below 3, the
+    divisor-2 split at 0 ops, ProbablePrime; None for an odd composite."""
+    early = trivial_or_even(n)
+    if early is None and is_probable_prime(n, seed):
+        early = probable_prime()
+    return early
+
+
 def prime_array(limit: int) -> np.ndarray:
     """Primes <= limit, ascending, by a sieve of Eratosthenes on numpy."""
     limit = max(limit, 1)
@@ -311,8 +322,9 @@ def _load_powmod() -> Callable[[int, int, int], int]:
 
 # Modular power for _batched_powers.  The GMP kernel's ctypes calls cost
 # about 9 us on top of mpz_powm (2.1 GHz Xeon), more than a builtin pow by
-# a 16-bit exponent modulo 256 bits takes in all, so small powers, such as
-# Miller-Rabin's, stay on builtin pow.
+# a 16-bit exponent modulo 256 bits takes in all, so the walk batches its
+# exponents.  Miller-Rabin does not use the kernel: each of its rounds
+# raises to d ~ N, a full-size exponent, on builtin pow.
 _powmod = _load_powmod()
 
 POW_BATCH = 64  # exponents per _powmod in _batched_powers

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from . import weakset
-from .arith import is_probable_prime, pollard_pm1, trial_division
+from .arith import is_probable_prime, pollard_pm1, preamble, trial_division
 from .fermat import bsgs_fermat, classic_fermat, extended_fermat_sparse
 from .model import (
     FactorResult,
@@ -26,10 +26,8 @@ from .model import (
     STATUS_PROBABLE_PRIME,
     SearchBudget,
     exhausted,
-    probable_prime,
     report_to_dict,
     result_to_dict,
-    trivial_or_even,
 )
 from .sparse_diff import sparse_difference_factor
 from .sparse_exp import cyclotomic_form_factor, sparse_exponent_factor
@@ -183,18 +181,10 @@ ENGINES = {
     # at most --budget divisors 2, 3, 5, ..., 2 * budget - 1
     "trial": (lambda n, b, args: trial_division(
         n, 2 * (args.budget or 500_000) - 1), ()),
-    "pm1": (lambda n, b, _: pollard_pm1(n, weakset.default_smoothness_bound(
-        n.bit_length()), op_cap=b.op_cap), ()),
+    # bound 2^16 at every size: class a's bound, scaled down for a toy N,
+    # leaves too few stages to split one
+    "pm1": (lambda n, b, _: pollard_pm1(n, 1 << 16, op_cap=b.op_cap), ()),
 }
-
-
-def _preamble(n: int, seed: int) -> Optional[FactorResult]:
-    """Every method's answer before its search: TrivialInput below 3, the
-    divisor-2 split at 0 ops, ProbablePrime; None for an odd composite."""
-    early = trivial_or_even(n)
-    if early is None and is_probable_prime(n, seed):
-        early = probable_prime()
-    return early
 
 
 def _solve(n: int, args) -> FactorResult:
@@ -205,7 +195,7 @@ def _solve(n: int, args) -> FactorResult:
     if args.trials is not None and args.trials < 1:
         raise ValueError("--trials must be >= 1")
     budget = _budget_from(n, args)
-    early = _preamble(n, budget.seed)
+    early = preamble(n, budget.seed)
     return early if early is not None else run(n, budget, args)
 
 
@@ -360,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit weak balanced semiprimes")
     p.add_argument("--class", dest="weak_class", required=True,
-                   choices=sorted("abcdfg"))
+                   choices=sorted(weakset.CLASSES))
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--out", default=None)

@@ -156,7 +156,8 @@ class WeakClassReport:
     checked_with: Optional[SearchBudget] = None
 
     def __post_init__(self):
-        bad = set(self.classes) - set("abcdfg")
+        from .weakset import CLASSES  # weakset builds on these types
+        bad = set(self.classes) - set(CLASSES)
         if bad:
             raise ValueError(f"unknown weak classes {sorted(bad)}")
 

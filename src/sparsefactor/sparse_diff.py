@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import expansions
-from .arith import SIEVE_MODULUS, SquareSieve, is_probable_prime, isqrt_ceil
+from .arith import SIEVE_MODULUS, SquareSieve, isqrt_ceil, preamble
 from .model import (
     Certificate,
     FactorResult,
@@ -24,8 +24,6 @@ from .model import (
     SearchBudget,
     exhausted,
     factored,
-    probable_prime,
-    trivial_or_even,
 )
 
 # (sign of aU, sign of bN) in the fixed probe order.
@@ -120,10 +118,8 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
     The (-1, .) patterns repeat the discriminants of (1, .) and recover the
     same roots, so they are counted but never tested.
     """
-    if (early := trivial_or_even(n)) is not None:
+    if (early := preamble(n, budget.seed)) is not None:
         return early
-    if is_probable_prime(n, budget.seed):
-        return probable_prime()
     cap = budget.op_cap
     ops = 0
     for b in budget.multipliers:

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import expansions
-from .arith import _batched_powers, is_probable_prime
+from .arith import _batched_powers, preamble
 from .model import (
     Certificate,
     FactorResult,
@@ -29,8 +29,6 @@ from .model import (
     SearchBudget,
     exhausted,
     factored,
-    probable_prime,
-    trivial_or_even,
 )
 
 
@@ -107,10 +105,8 @@ def sparse_exponent_factor(n: int, budget: SearchBudget, trials: int = 8,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if (early := trivial_or_even(n)) is not None:
+    if (early := preamble(n, seed)) is not None:
         return early
-    if is_probable_prime(n, seed):
-        return probable_prime()
     rng = random.Random(seed)
     ops = 0
     for trial in range(trials):

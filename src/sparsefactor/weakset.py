@@ -10,10 +10,11 @@ deliberately absent):
   f  p + q = 2*sqrt(N) + r*N^(1/4) + s with r and s sparse
   g  q - p is sparse  (sparse-difference territory)
 
-Generators build instances by anchoring one prime at the class's preferred
-location and re-verifying the class predicate against the true floor roots
-of the resulting N, retrying until it holds, so every emitted instance
-audits back into its class by construction.
+`CLASSES` maps each letter to its generator and its membership test.  A
+generator anchors one prime at the class's preferred location; the audit,
+which runs every membership test against the true floor roots of the
+resulting N, rejects a candidate outside the class, so every emitted
+instance audits back into its class by construction.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ from .model import (
     WeakClassReport,
 )
 
-_CLASS_IDS = frozenset("abcdfg")
-
-
 def default_smoothness_bound(bits: int) -> int:
     """Class-a smoothness bound for a `bits`-bit N, shared by generator and
     audit.  A fixed bound is vacuous at toy scale (every tiny p-1 is
@@ -54,7 +52,7 @@ class WeakClassSpec:
     v_max: Optional[int] = None     # sparse exponent cap; bits-derived default
 
     def __post_init__(self):
-        if self.class_id not in _CLASS_IDS:
+        if self.class_id not in CLASSES:
             raise ValueError(f"unknown class {self.class_id!r}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -131,13 +129,16 @@ def _balanced(p: int, q: int) -> bool:
 # per-class generators (each returns (n, p, q) or None to retry)
 # ---------------------------------------------------------------------------
 
+def _v_cap(spec, cap):
+    """The sparse exponent cap: spec.v_max, never above cap."""
+    return cap if spec.v_max is None else min(spec.v_max, cap)
+
+
 def _gen_g(rng, bits, spec):
-    half = bits // 2
-    v = spec.v_max if spec.v_max is not None else half - 2
-    v = min(v, half - 2)
+    v = _v_cap(spec, bits // 2 - 2)
     if v < 1:
         return None  # q - p = 1 between odd primes
-    p = _random_prime(rng, half)
+    p = _random_prime(rng, bits // 2)
     for _ in range(200):
         d = _random_sparse(rng, spec.k, v)
         q = p + d
@@ -147,13 +148,10 @@ def _gen_g(rng, bits, spec):
 
 
 def _gen_b(rng, bits, spec):
-    half = bits // 2
-    p = _random_prime(rng, half)
+    # q < 2p by Bertrand's postulate; the audit decides q - p <= N^(1/4)
+    p = _random_prime(rng, bits // 2)
     q = _prime_at_or_above(p + 2)
-    n = p * q
-    if _balanced(p, q) and q - p <= iroot(n, 4):
-        return n, p, q
-    return None
+    return p * q, p, q
 
 
 def _anchored(rng, bits, a):
@@ -174,16 +172,14 @@ def _gen_c(rng, bits, spec):
 
 
 def _gen_d(rng, bits, spec):
-    quarter = bits // 4
-    v = min(spec.v_max if spec.v_max is not None else quarter - 4, quarter - 4)
+    v = _v_cap(spec, bits // 4 - 4)
     if v < 1:
         return None
     return _anchored(rng, bits, _random_sparse(rng, spec.k, v))
 
 
 def _gen_f(rng, bits, spec):
-    quarter = bits // 4
-    v = min(spec.v_max if spec.v_max is not None else quarter - 4, quarter - 4)
+    v = _v_cap(spec, bits // 4 - 4)
     if v < 1:
         return None
     scale = 1 << (bits - 1)
@@ -219,10 +215,6 @@ def _gen_a(rng, bits, spec):
     return None
 
 
-_GENERATORS = {"a": _gen_a, "b": _gen_b, "c": _gen_c, "d": _gen_d,
-               "f": _gen_f, "g": _gen_g}
-
-
 def generate_weak(spec: WeakClassSpec, bits: int, count: int,
                   seed: int) -> list[tuple[int, int, int, WeakClassReport]]:
     """Emit `count` balanced semiprimes in the requested class.
@@ -234,7 +226,7 @@ def generate_weak(spec: WeakClassSpec, bits: int, count: int,
         raise GenerationError("generation exhausted")  # too few primes below
     if count < 1:
         raise ValueError("count must be >= 1")
-    gen = _GENERATORS[spec.class_id]
+    gen, _ = CLASSES[spec.class_id]
     out = []
     budget = _audit_budget(bits, spec)
     for i in range(count):
@@ -260,43 +252,16 @@ def _audit_budget(bits: int, spec: WeakClassSpec) -> SearchBudget:
 
 
 # ---------------------------------------------------------------------------
-# audit
+# membership tests: (n, p, q, k, s0, f0) -> the class's witness dict or None,
+# with s0 = isqrt(N), f0 = iroot(N, 4) and k the sparse weight cap
 # ---------------------------------------------------------------------------
 
-def _locations(n, p, q):
+def _locations(p, q, s0, f0):
     """(side, a, b) with factor = sqrt(N) + a*N^(1/4) + b, per factor."""
-    s0 = math.isqrt(n)
-    f0 = iroot(n, 4)
     for side, f in (("p", p), ("q", q)):
         a = _nearest_quotient(f - s0, f0)
         if a != 0:  # a = 0 is plain Fermat proximity: class b, not c or d
             yield side, a, f - s0 - a * f0
-
-
-def _decompose_factor(n, p, q, k):
-    """The sparsest (side, a, b) with a and b of weight <= k, or None."""
-    best = min(((max(weight(a), weight(b)), weight(a), abs(a), side, a, b)
-                for side, a, b in _locations(n, p, q)), default=None)
-    return best[3:] if best is not None and best[0] <= k else None
-
-
-def _decompose_eps(n, p, q):
-    """The first (side, a, b) with |a|, |b| <= N^(1/8), or None."""
-    for side, a, b in _locations(n, p, q):
-        if max(abs(a), abs(b)) ** 8 <= n:
-            return side, a, b
-    return None
-
-
-def _decompose_sum(n, p, q, k):
-    s0 = math.isqrt(n)
-    f0 = iroot(n, 4)
-    delta = p + q - 2 * s0
-    r = _nearest_quotient(delta, f0)
-    s = delta - r * f0
-    if r != 0 and weight(r) <= k and weight(s) <= k:
-        return r, s
-    return None
 
 
 def _smooth_part(m: int, primes) -> int:
@@ -307,6 +272,64 @@ def _smooth_part(m: int, primes) -> int:
             break
     return m
 
+
+def _in_a(n, p, q, k, s0, f0):
+    bound = default_smoothness_bound(n.bit_length())
+    primes = small_primes(bound)
+    for side, m in (("p-1", p - 1), ("p+1", p + 1), ("q-1", q - 1),
+                    ("q+1", q + 1)):
+        if _smooth_part(m, primes) == 1:
+            return {"side": side, "bound": bound}
+    return None
+
+
+def _in_b(n, p, q, k, s0, f0):
+    return {"difference": q - p} if q - p <= f0 else None
+
+
+def _in_c(n, p, q, k, s0, f0):
+    """The first location with |a|, |b| <= N^(1/8)."""
+    for side, a, b in _locations(p, q, s0, f0):
+        if max(abs(a), abs(b)) ** 8 <= n:
+            return {"side": side, "a": a, "b": b, "eps": [1, 8]}
+    return None
+
+
+def _in_d(n, p, q, k, s0, f0):
+    """The sparsest location with a and b of weight <= k."""
+    best = min(((max(weight(a), weight(b)), weight(a), abs(a), side, a, b)
+                for side, a, b in _locations(p, q, s0, f0)), default=None)
+    if best is None or best[0] > k:
+        return None
+    side, a, b = best[3:]
+    return {"side": side, "a": a, "b": b, "weights": [weight(a), weight(b)]}
+
+
+def _in_f(n, p, q, k, s0, f0):
+    delta = p + q - 2 * s0
+    r = _nearest_quotient(delta, f0)
+    s = delta - r * f0
+    if r == 0 or weight(r) > k or weight(s) > k:
+        return None
+    return {"r": r, "s": s, "weights": [weight(r), weight(s)]}
+
+
+def _in_g(n, p, q, k, s0, f0):
+    wd = weight(q - p)
+    if wd > k:
+        return None
+    return {"difference": q - p, "weight": wd,
+            "digits": [[s, e] for s, e in naf(q - p).terms]}
+
+
+# The weak-class catalogue: letter -> (generator, membership test).
+CLASSES = {"a": (_gen_a, _in_a), "b": (_gen_b, _in_b), "c": (_gen_c, _in_c),
+           "d": (_gen_d, _in_d), "f": (_gen_f, _in_f), "g": (_gen_g, _in_g)}
+
+
+# ---------------------------------------------------------------------------
+# audit
+# ---------------------------------------------------------------------------
 
 def check_audit_input(n: int,
                       factors: Optional[tuple[int, int]] = None) -> None:
@@ -348,48 +371,11 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
         return _audit_blind(n, budget)
 
     p, q = factors
-    classes: set[str] = set()
-    witnesses: dict = {}
     s0 = math.isqrt(n)
     f0 = iroot(n, 4)
-
-    if q - p <= f0:
-        classes.add("b")
-        witnesses["b"] = {"difference": q - p}
-
-    wd = weight(q - p)
-    if wd <= budget.k:
-        classes.add("g")
-        witnesses["g"] = {"difference": q - p, "weight": wd,
-                          "digits": [[s, e] for s, e in naf(q - p).terms]}
-
-    hit = _decompose_factor(n, p, q, budget.k)
-    if hit is not None:
-        side, a, b = hit
-        classes.add("d")
-        witnesses["d"] = {"side": side, "a": a, "b": b,
-                          "weights": [weight(a), weight(b)]}
-
-    hit = _decompose_eps(n, p, q)
-    if hit is not None:
-        side, a, b = hit
-        classes.add("c")
-        witnesses["c"] = {"side": side, "a": a, "b": b, "eps": [1, 8]}
-
-    hit = _decompose_sum(n, p, q, budget.k)
-    if hit is not None:
-        r, s = hit
-        classes.add("f")
-        witnesses["f"] = {"r": r, "s": s, "weights": [weight(r), weight(s)]}
-
-    smoothness_bound = default_smoothness_bound(n.bit_length())
-    primes = small_primes(smoothness_bound)
-    for label, m in (("p-1", p - 1), ("p+1", p + 1), ("q-1", q - 1),
-                     ("q+1", q + 1)):
-        if _smooth_part(m, primes) == 1:
-            classes.add("a")
-            witnesses["a"] = {"side": label, "bound": smoothness_bound}
-            break
+    witnesses = {cid: hit for cid, (_, member) in CLASSES.items()
+                 if (hit := member(n, p, q, budget.k, s0, f0)) is not None}
+    classes = frozenset(witnesses)
 
     # measured closeness exponent: how near a factor sits to sqrt(N),
     # on the N^(1/4 + alpha) scale
@@ -398,7 +384,7 @@ def audit(n: int, factors: Optional[tuple[int, int]] = None,
         alpha = (math.log2(gap) - math.log2(f0)) / math.log2(n)
         witnesses["meta"] = {"alpha": alpha}
 
-    return WeakClassReport(frozenset(classes), witnesses, budget)
+    return WeakClassReport(classes, witnesses, budget)
 
 
 def _audit_blind(n, budget):

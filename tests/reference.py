@@ -4,7 +4,9 @@ Each loop walks the same canonical order as its engine with no shortcut:
 the square scans take an exact square root at every candidate, with no
 residue filter, and the exponent engines raise x by one factor at a time
 and take the gcds after every step, with no batching.  They keep builtin
-`pow`, so the engines' modular-power kernel is held to it too.
+`pow`, so the engines' modular-power kernel is held to it too.  The
+known-factor audit is the class-by-class form the weak-class table
+replaced.
 """
 
 import itertools
@@ -13,7 +15,7 @@ import random
 
 from sparsefactor import expansions, sparse_diff
 from sparsefactor.arith import iroot, isqrt_ceil, small_primes
-from sparsefactor.expansions import naf, sparse_values
+from sparsefactor.expansions import naf, sparse_values, weight
 from sparsefactor.model import (
     Certificate,
     METHOD_CLASSIC_FERMAT,
@@ -21,6 +23,7 @@ from sparsefactor.model import (
     METHOD_POLLARD_PM1,
     METHOD_SPARSE_DIFFERENCE,
     METHOD_SPARSE_EXPONENT,
+    WeakClassReport,
     exhausted,
     factored,
 )
@@ -205,3 +208,76 @@ def ref_pollard_pm1(n, bound, t, op_cap):
         while base % 2 == 0 or base == n:
             base += 1
     return exhausted(ops)
+
+
+def _nearest_quotient(delta, unit):
+    return (2 * delta + unit) // (2 * unit)
+
+
+def _locations(n, p, q):
+    s0 = math.isqrt(n)
+    f0 = iroot(n, 4)
+    for side, f in (("p", p), ("q", q)):
+        a = _nearest_quotient(f - s0, f0)
+        if a != 0:
+            yield side, a, f - s0 - a * f0
+
+
+def ref_audit_known(n, p, q, budget):
+    """The known-factor audit of sorted balanced factors, one block per class."""
+    classes = set()
+    witnesses = {}
+    s0 = math.isqrt(n)
+    f0 = iroot(n, 4)
+
+    if q - p <= f0:
+        classes.add("b")
+        witnesses["b"] = {"difference": q - p}
+
+    wd = weight(q - p)
+    if wd <= budget.k:
+        classes.add("g")
+        witnesses["g"] = {"difference": q - p, "weight": wd,
+                          "digits": [[s, e] for s, e in naf(q - p).terms]}
+
+    best = min(((max(weight(a), weight(b)), weight(a), abs(a), side, a, b)
+                for side, a, b in _locations(n, p, q)), default=None)
+    if best is not None and best[0] <= budget.k:
+        side, a, b = best[3:]
+        classes.add("d")
+        witnesses["d"] = {"side": side, "a": a, "b": b,
+                          "weights": [weight(a), weight(b)]}
+
+    for side, a, b in _locations(n, p, q):
+        if max(abs(a), abs(b)) ** 8 <= n:
+            classes.add("c")
+            witnesses["c"] = {"side": side, "a": a, "b": b, "eps": [1, 8]}
+            break
+
+    delta = p + q - 2 * s0
+    r = _nearest_quotient(delta, f0)
+    s = delta - r * f0
+    if r != 0 and weight(r) <= budget.k and weight(s) <= budget.k:
+        classes.add("f")
+        witnesses["f"] = {"r": r, "s": s, "weights": [weight(r), weight(s)]}
+
+    bound = min(1 << 16, 1 << max(2, n.bit_length() // 8))
+    primes = small_primes(bound)
+    for label, m in (("p-1", p - 1), ("p+1", p + 1), ("q-1", q - 1),
+                     ("q+1", q + 1)):
+        for prime in primes:
+            while m % prime == 0:
+                m //= prime
+            if m == 1:
+                break
+        if m == 1:
+            classes.add("a")
+            witnesses["a"] = {"side": label, "bound": bound}
+            break
+
+    gap = min(s0 - p, q - s0)
+    if gap > 0 and f0 > 1:
+        alpha = (math.log2(gap) - math.log2(f0)) / math.log2(n)
+        witnesses["meta"] = {"alpha": alpha}
+
+    return WeakClassReport(frozenset(classes), witnesses, budget)

@@ -91,7 +91,33 @@ def test_factor_exit_codes(capsys):
     assert run_cli(capsys, "factor", "15", "--method", "nope")[0] == 64
     code, _, _ = run_cli(capsys, "factor", "10403", "--method", "pm1",
                          "--budget", "3")
+    assert code == 0                                 # split at stage 3
+    code, _, _ = run_cli(capsys, "factor", "10403", "--method", "pm1",
+                         "--budget", "2")
     assert code == 1                                         # exhausted
+
+
+@pytest.mark.parametrize("n,split,ops", [
+    (10403, ("101", "103"), 3),
+    (2881, ("43", "67"), None),
+    (15049, ("101", "149"), None),
+    (253, ("11", "23"), None),
+    # 2047 = 23 * 89: both 22 and 88 carry 11, so every stage from 11 on
+    # lands on 1 modulo both factors at once
+    (2047, None, None),
+])
+def test_pm1_desk_bound(n, split, ops, capsys):
+    # a bound scaled to a 14-bit N was 4: two stages, too few to split
+    code, out, _ = run_cli(capsys, "factor", str(n), "--method", "pm1",
+                           "--json")
+    payload = json.loads(out)
+    if split is None:
+        assert code == 1 and payload["status"] == "Exhausted"
+        return
+    assert code == 0 and (payload["p"], payload["q"]) == split
+    assert payload["witness"]["bound"] == 1 << 16
+    if ops is not None:
+        assert payload["ops"] == ops
 
 
 def test_factor_hex_input(capsys):
@@ -241,7 +267,10 @@ def test_single_method_ops_within_budget(method, n, budget, capsys):
                            "--budget", str(budget), "--json")
     payload = json.loads(out)
     assert payload["ops"] <= budget
-    if n == _REFERENCE_N:
+    if (n, method, budget) == (_REFERENCE_N, "pm1", 1000):
+        # p - 1 = 2 * 11 * 421 * 1663: the stage of 1663, prime 261, splits
+        assert code == 0 and payload["status"] == "Factored"
+    elif n == _REFERENCE_N:
         assert code == 1 and payload["status"] == "Exhausted"
     elif n == 10007:
         assert code == 2 and payload["status"] == "ProbablePrime"

@@ -1,11 +1,15 @@
 import json
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import random_semiprime
 from sparsefactor import arith, fermat, sparse_diff, sparse_exp
 from sparsefactor.model import (
     Certificate,
     FactorResult,
+    LowOrderBaseError,
     SearchBudget,
     WeakClassReport,
     report_to_dict,
@@ -134,6 +138,71 @@ def test_json_round_trip_every_engine():
         assert int(payload["p"]) * int(payload["q"]) == n
         assert isinstance(payload["p"], str)  # decimal-string integers
         assert isinstance(payload["ops"], int)
+
+
+def _budget(draw, **fixed):
+    return SearchBudget(k=draw(st.integers(1, 3)), v_max=draw(st.integers(1, 10)),
+                        t_max=draw(st.integers(0, 200)), **fixed)
+
+
+def _bsgs(n, p, draw):
+    try:
+        return fermat.bsgs_fermat(n, draw(st.sampled_from([2, 3, p])))
+    except LowOrderBaseError:
+        return None
+
+
+# engine -> run(n, p, draw) on a balanced odd semiprime n with factor p;
+# a base drawn as p gives the lucky splits
+_ENGINES = {
+    "trial": lambda n, p, draw: arith.trial_division(
+        n, draw(st.integers(2, 2000))),
+    "pm1": lambda n, p, draw: arith.pollard_pm1(
+        n, draw(st.integers(2, 1 << 12)), draw(st.sampled_from([2, 3, p]))),
+    "classic": lambda n, p, draw: fermat.classic_fermat(
+        n, draw(st.integers(1, 2000))),
+    "offset": lambda n, p, draw: fermat.extended_fermat_offset(
+        n, draw(st.integers(-2, 2)), draw(st.integers(0, 2000))),
+    "xfermat": lambda n, p, draw: fermat.extended_fermat_sparse(
+        n, _budget(draw, op_cap=20_000)),
+    "bsgs": _bsgs,
+    "sparsediff": lambda n, p, draw: sparse_diff.sparse_difference_factor(
+        n, _budget(draw, op_cap=20_000)),
+    "sparseexp": lambda n, p, draw: sparse_exp.sparse_exponent_factor(
+        n, _budget(draw, op_cap=2000), trials=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 99))),
+    "germain": lambda n, p, draw: sparse_exp.germain_factor(
+        n, draw(st.integers(1, 50)), draw(st.sampled_from([2, 3, p]))),
+}
+
+# inputs of the shapes cyclotomic_form_factor takes
+_FORMS = [(2047, ("mersenne", 11)), ((1 << 23) - 1, ("mersenne", 23)),
+          ((1 << 29) - 1, ("mersenne", 29)), ((1 << 32) + 1, ("fermat", 5))]
+
+
+@st.composite
+def _engine_results(draw):
+    engine = draw(st.sampled_from(sorted(_ENGINES) + ["cyclotomic"]))
+    if engine == "cyclotomic":
+        n, form = draw(st.sampled_from(_FORMS))
+        result = sparse_exp.cyclotomic_form_factor(
+            n, form, _budget(draw), draw(st.sampled_from([3, 5, 7])))
+        return n, result
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    max_gap = draw(st.sampled_from([None, 64, 1 << 12]))
+    n, p, _ = random_semiprime(rng, draw(st.integers(12, 40)), max_gap)
+    result = _ENGINES[engine](n, p, draw)
+    assume(result is not None)
+    return n, result
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=_engine_results())
+def test_json_round_trip_property(case):
+    n, result = case
+    assert result_from_json(result_to_json(result)) == result
+    if result.factored:
+        assert verify_certificate(n, result.certificate)
 
 
 def test_json_round_trip_non_factored():

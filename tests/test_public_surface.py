@@ -4,15 +4,16 @@ import dataclasses
 import pytest
 
 import sparsefactor
-from sparsefactor import arith, cli
+from sparsefactor import arith, cli, weakset
 
 _SEARCH_FLAGS = ["--k", "--vmax", "--tmax", "--budget", "--multipliers",
                  "--seed"]
 
 # Each subcommand takes only the flags it reads, each --method names the
 # optional factor flags it reads, a weak class is set by its weight and
-# exponent caps alone, the square scans query their sieve through four
-# methods, and the package exports the engines, the result and budget
+# exponent caps alone, the weak-class catalogue holds the six classes
+# (every generate --class choice), the square scans query their sieve
+# through four methods, and the package exports the engines, the result and budget
 # types, the weak-class tools and the helpers the acceptance criteria use.
 _SURFACE = {
     "commands": ["factor", "generate", "audit", "density"],
@@ -28,6 +29,7 @@ _SURFACE = {
     "ENGINES.pm1": [],
     "SquareSieve": ["ascending", "values", "zigzag", "root"],
     "WeakClassSpec": ["class_id", "k", "v_max"],
+    "CLASSES": ["a", "b", "c", "d", "f", "g"],
     "factor": ["-h", "--help", "--method", "--form", "--trials", "--json",
                "--workers", *_SEARCH_FLAGS],
     "generate": ["-h", "--help", "--class", "--bits", "--count", "--out",
@@ -67,6 +69,10 @@ def test_public_surface_is_pinned(surface):
     elif surface == "SquareSieve":
         names = [name for name in vars(arith.SquareSieve)
                  if not name.startswith("_")]
+    elif surface == "CLASSES":
+        names = list(weakset.CLASSES)
+        assert _commands()["generate"]._option_string_actions[
+            "--class"].choices == sorted(names)
     elif surface == "WeakClassSpec":
         names = [f.name for f in dataclasses.fields(sparsefactor.WeakClassSpec)]
     else:

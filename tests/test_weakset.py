@@ -2,12 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_prime
+from conftest import random_prime, random_semiprime
+from reference import ref_audit_known
 from sparsefactor import weakset
 from sparsefactor.arith import iroot, is_probable_prime, small_primes
 from sparsefactor.expansions import naf, weight
-from sparsefactor.model import GenerationError, SearchBudget
+from sparsefactor.model import GenerationError, SearchBudget, report_to_dict
 from sparsefactor.weakset import WeakClassSpec, audit, generate_weak
 
 # the 21 balanced companions of p = 101 with sparse differences
@@ -284,3 +286,29 @@ def test_audit_blind_reports_only_confirmed_classes():
     assert report.witnesses["meta"]["detected_by"] == "BsgsFermat"
     assert report.classes == audit(n, (p, q)).classes
     assert "b" not in report.classes
+
+
+@st.composite
+def _known_factor_cases(draw):
+    """(n, p, q): random balanced, twin-like, or a generated weak instance."""
+    kind = draw(st.sampled_from(["random", "near", "weak"]))
+    seed = draw(st.integers(0, 1 << 32))
+    if kind == "weak":
+        spec = WeakClassSpec(draw(st.sampled_from(sorted(weakset.CLASSES))))
+        bits = draw(st.integers(32, 128))
+        n, p, q, _ = generate_weak(spec, bits, 1, seed)[0]
+        return n, p, q
+    bits = draw(st.integers(32, 256))
+    max_gap = draw(st.integers(4, 1 << 12)) if kind == "near" else None
+    return random_semiprime(random.Random(seed), bits, max_gap)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_known_factor_cases(), k=st.integers(1, 5))
+@example(case=(81161, 277, 293), k=1)           # q - p = N^(1/4) exactly
+@example(case=(825166891, 27479, 30029), k=2)   # class d's tie-break decides
+def test_audit_known_matches_class_by_class_reference(case, k):
+    n, p, q = case
+    budget = SearchBudget.default_for(n, k=k)
+    assert (report_to_dict(audit(n, (p, q), budget))
+            == report_to_dict(ref_audit_known(n, p, q, budget)))
