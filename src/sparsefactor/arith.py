@@ -7,7 +7,6 @@ value that feeds a factorization decision.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import itertools
 import math
 import random
@@ -205,17 +204,67 @@ def prime_array(limit: int) -> np.ndarray:
     return np.flatnonzero(flags)
 
 
+# Width of a prime segment: segment j holds the primes in [jW, (j+1)W).
+_SEGMENT = 1 << 15
+
+
+@lru_cache(maxsize=64)
+def _segment(j: int) -> tuple[tuple[int, ...], int]:
+    """The primes in segment j, ascending, and their product.
+
+    A sieve of Eratosthenes on the segment alone, by the primes up to the
+    square root of its end; for j >= 1 those lie in earlier segments.
+    """
+    lo, hi = j * _SEGMENT, (j + 1) * _SEGMENT
+    flags = bytearray(b"\1") * _SEGMENT
+    root = math.isqrt(hi - 1)
+    if j == 0:
+        flags[:2] = b"\0\0"
+        base = (p for p in range(2, root + 1) if flags[p])
+    else:
+        base = itertools.takewhile(root.__ge__, itertools.chain.from_iterable(
+            _segment(i)[0] for i in range(root // _SEGMENT + 1)))
+    for p in base:
+        start = max(p * p, -(-lo // p) * p) - lo
+        flags[start::p] = bytes(len(range(start, _SEGMENT, p)))
+    primes = tuple(itertools.compress(range(lo, hi), flags))
+    return primes, _product(primes)
+
+
+def _product(values: Iterable[int]) -> int:
+    """math.prod by a product tree: neighbours multiply pairwise, so most
+    products are of small numbers (a segment's in a third of the time)."""
+    values = list(values)
+    while len(values) > 1:
+        odd = values.pop() if len(values) % 2 else 1
+        values = list(map(int.__mul__, values[::2], values[1::2]))
+        values[-1] *= odd
+    return values[0] if values else 1
+
+
 def small_primes(limit: int):
     """Primes <= limit as Python ints (desk-scale helper).
 
-    Each call returns a fresh list; the sieve itself is cached per limit.
+    Each call returns a fresh list; the primes themselves are cached per
+    limit.
     """
     return list(_primes_upto(limit))
 
 
 @lru_cache(maxsize=16)
 def _primes_upto(limit: int) -> tuple[int, ...]:
-    return tuple(prime_array(limit).tolist())
+    segments = (_segment(j)[0] for j in range(max(limit, 0) // _SEGMENT + 1))
+    return tuple(itertools.takewhile(limit.__ge__,
+                                     itertools.chain.from_iterable(segments)))
+
+
+@lru_cache(maxsize=16)
+def prime_product(limit: int) -> int:
+    """The product of the primes <= limit, from the cached segment
+    products."""
+    whole = max(limit + 1, 0) // _SEGMENT  # segments wholly <= limit
+    tail = (p for p in _segment(whole)[0] if p <= limit)
+    return math.prod(_segment(j)[1] for j in range(whole)) * _product(tail)
 
 
 def z_count(n: int) -> int:
@@ -238,20 +287,49 @@ def z_count(n: int) -> int:
     return len(sols)
 
 
+def _least_divisor(g: int, primes: tuple[int, ...]) -> int:
+    """The least of the ascending primes that divides g, given that one does.
+
+    gcds with runs of doubling length find the run that holds it, then
+    gcds with halves of that run find it, so the cost grows with its
+    position, not with len(primes).
+    """
+    lo, hi = 0, 1
+    while math.gcd(g, math.prod(primes[lo:hi])) == 1:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.gcd(g, math.prod(primes[lo:mid])) > 1:
+            hi = mid
+        else:
+            lo = mid
+    return primes[lo]
+
+
 def trial_division(n: int, bound: int) -> FactorResult:
-    """Scan divisors 2, 3, 5, ... up to the bound; cheapest baseline."""
+    """Trial division by 2, 3, 5, 7, 9, ... up to min(bound, isqrt(n)).
+
+    `ops` counts those candidates up to the first divisor, which is n's
+    least prime factor d: (d + 1) // 2 of them.  The candidates are never
+    divided one by one: one gcd of n with the product of a prime segment
+    finds whether d lies in it, segment by segment in order, and only the
+    segments up to the limit or the hit are built.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
-    ops = 0
-    d = 2
     limit = min(bound, math.isqrt(n))
-    while d <= limit:
-        ops += 1
-        if n % d == 0:
+    if limit < 2:
+        return exhausted(0)
+    for j in range(limit // _SEGMENT + 1):
+        primes, product = _segment(j)
+        g = math.gcd(n, product)
+        if g > 1:
+            d = _least_divisor(g, primes)
+            if d > limit:
+                break
             cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": d})
-            return factored(d, n // d, cert, ops)
-        d += 1 if d == 2 else 2
-    return exhausted(ops)
+            return factored(d, n // d, cert, (d + 1) // 2)
+    return exhausted((limit + 1) // 2)
 
 
 class _Mpz(ctypes.Structure):
@@ -300,24 +378,34 @@ def _gmp_powmod(gmp) -> Callable[[int, int, int], int]:
     return powmod
 
 
+def _gmp_names() -> Iterator[str]:
+    """Names to load libgmp by: its usual sonames, then the path that
+    ctypes.util.find_library gives, looked up only when none of them loads.
+    Importing ctypes.util and find_library's one `ldconfig -p` cost about
+    7 ms (2.1 GHz Xeon); loading by soname costs 0.3 ms."""
+    yield from ("libgmp.so.10", "libgmp.so", "libgmp.dylib")
+    import ctypes.util
+    path = ctypes.util.find_library("gmp")
+    if path is not None:
+        yield path
+
+
 def _load_powmod() -> Callable[[int, int, int], int]:
-    """The GMP kernel when libgmp can be found and loaded, else builtin pow.
+    """The GMP kernel on the first of _gmp_names that loads, else builtin
+    pow.
 
     Both compute the same exact integer, so nothing downstream can tell
     them apart; the kernel's `library` attribute names what it loaded.
-    Importing ctypes.util and find_library's one `ldconfig -p` cost about
-    8 ms at import (2.1 GHz Xeon).
     """
-    path = ctypes.util.find_library("gmp")
-    if path is None:
-        return pow
-    try:
-        gmp = ctypes.CDLL(path)
-    except OSError:
-        return pow
-    kernel = _gmp_powmod(gmp)
-    kernel.library = path
-    return kernel
+    for name in _gmp_names():
+        try:
+            gmp = ctypes.CDLL(name)
+        except OSError:
+            continue
+        kernel = _gmp_powmod(gmp)
+        kernel.library = name
+        return kernel
+    return pow
 
 
 # Modular power for _batched_powers.  The GMP kernel's ctypes calls cost

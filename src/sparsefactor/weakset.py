@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import fermat, sparse_diff
-from .arith import iroot, is_probable_prime, pollard_pm1, prime_array, small_primes
+from .arith import (iroot, is_probable_prime, pollard_pm1, prime_array,
+                    prime_product, small_primes)
 from .expansions import naf, weight
 from .model import (
     GenerationError,
@@ -65,12 +66,11 @@ class WeakClassSpec:
 # ---------------------------------------------------------------------------
 
 _MAX_TRIES = 10_000
-# the odd primes below 1000: one gcd rejects before Miller-Rabin
-_SCREEN_PRODUCT = math.prod(small_primes(1000)[1:])
 
 
 def _screened_prime(cand: int) -> bool:
-    if cand >= 10 ** 6 and math.gcd(cand, _SCREEN_PRODUCT) != 1:
+    # one gcd with the primes below 1000 rejects before Miller-Rabin
+    if cand >= 10 ** 6 and math.gcd(cand, prime_product(1000)) != 1:
         return False
     return is_probable_prime(cand)
 
@@ -264,21 +264,21 @@ def _locations(p, q, s0, f0):
             yield side, a, f - s0 - a * f0
 
 
-def _smooth_part(m: int, primes) -> int:
-    for p in primes:
-        while m % p == 0:
-            m //= p
-        if m == 1:
-            break
-    return m
+def _smooth(m: int, bound: int) -> bool:
+    """Whether m >= 1 has no prime factor above bound.
+
+    With P the product of the primes <= bound and e = m.bit_length(), m
+    divides P^e exactly then: a prime power p^a dividing m has
+    p^a <= m < 2^e, so a < e.
+    """
+    return pow(prime_product(bound) % m, m.bit_length(), m) == 0
 
 
 def _in_a(n, p, q, k, s0, f0):
     bound = default_smoothness_bound(n.bit_length())
-    primes = small_primes(bound)
     for side, m in (("p-1", p - 1), ("p+1", p + 1), ("q-1", q - 1),
                     ("q+1", q + 1)):
-        if _smooth_part(m, primes) == 1:
+        if _smooth(m, bound):
             return {"side": side, "bound": bound}
     return None
 

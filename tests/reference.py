@@ -6,7 +6,8 @@ residue filter, and the exponent engines raise x by one factor at a time
 and take the gcds after every step, with no batching.  They keep builtin
 `pow`, so the engines' modular-power kernel is held to it too.  The
 known-factor audit is the class-by-class form the weak-class table
-replaced.
+replaced, and trial division and the smoothness test are the loops of one
+`%` at a time that gcds replaced.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from sparsefactor.model import (
     METHOD_POLLARD_PM1,
     METHOD_SPARSE_DIFFERENCE,
     METHOD_SPARSE_EXPONENT,
+    METHOD_TRIAL_DIVISION,
     WeakClassReport,
     exhausted,
     factored,
@@ -35,6 +37,32 @@ def _root(v):
         return None
     r = math.isqrt(v)
     return r if r * r == v else None
+
+
+def ref_trial_division(n, bound):
+    """Divisors 2, 3, 5, 7, 9, ... up to min(bound, isqrt(n)), one `%` each."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    ops = 0
+    d = 2
+    limit = min(bound, math.isqrt(n))
+    while d <= limit:
+        ops += 1
+        if n % d == 0:
+            cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": d})
+            return factored(d, n // d, cert, ops)
+        d += 1 if d == 2 else 2
+    return exhausted(ops)
+
+
+def ref_smooth_part(m, primes):
+    """m with every factor of the ascending primes divided out."""
+    for p in primes:
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            break
+    return m
 
 
 def ref_classic(n, max_steps):
@@ -265,12 +293,7 @@ def ref_audit_known(n, p, q, budget):
     primes = small_primes(bound)
     for label, m in (("p-1", p - 1), ("p+1", p + 1), ("q-1", q - 1),
                      ("q+1", q + 1)):
-        for prime in primes:
-            while m % prime == 0:
-                m //= prime
-            if m == 1:
-                break
-        if m == 1:
+        if ref_smooth_part(m, primes) == 1:
             classes.add("a")
             witnesses["a"] = {"side": label, "bound": bound}
             break

@@ -1,11 +1,18 @@
+import ctypes.util
 import math
+import os
 import random
+import subprocess
+import sys
+import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
+from conftest import random_prime
+from reference import ref_trial_division
 from sparsefactor import arith
-from sparsefactor.model import verify_certificate
+from sparsefactor.model import result_to_dict, verify_certificate
 
 
 def test_iroot_known_values():
@@ -140,6 +147,85 @@ def test_trial_division():
         arith.trial_division(1, 10)
 
 
+_W = arith._SEGMENT
+
+
+@st.composite
+def _screen_cases(draw):
+    """(n, bound): n even, prime, a prime's square, with a factor below
+    2^20, or a product of two primes above it; bound from below 2 up to
+    10^6, log-uniform, or at a segment edge."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["even", "prime", "square", "small", "large"]))
+    if kind == "even":
+        n = 2 * rng.randrange(1, 1 << draw(st.integers(1, 80)))
+    elif kind == "prime":
+        n = random_prime(rng, draw(st.integers(2, 64)))
+    elif kind == "square":
+        n = random_prime(rng, draw(st.integers(2, 21))) ** 2
+    elif kind == "small":
+        n = (random_prime(rng, draw(st.integers(2, 20)))
+             * rng.randrange(2, 1 << draw(st.integers(2, 80))))
+    else:
+        n = (random_prime(rng, draw(st.integers(21, 40)))
+             * random_prime(rng, draw(st.integers(21, 40))))
+    bound = draw(st.one_of(
+        st.integers(-1, 1), st.sampled_from([_W - 1, _W, _W + 1]),
+        st.integers(1, 20).flatmap(
+            lambda bits: st.integers(2, min(10 ** 6, 1 << bits)))))
+    return n, bound
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_screen_cases())
+@example(case=(4, 50))
+@example(case=(4, 200))
+@example(case=(9, 50))
+@example(case=(9, 200))
+@example(case=(10403, 50))
+@example(case=(10403, 200))
+@example(case=(2, 10))
+@example(case=(3, 10))
+@example(case=(9973, 10_000))            # the largest prime below 10^4
+@example(case=(9973 * 10007, 10_000))
+@example(case=(9973 ** 2, 10_000))
+@example(case=(32749 * 32771, _W - 1))   # the primes either side of W
+@example(case=(32771 * 32779, _W))
+@example(case=(32771 * 32779, _W + 1))
+@example(case=(32771 * 32779, _W + 3))
+def test_trial_division_matches_the_divisor_loop(case):
+    n, bound = case
+    assert (result_to_dict(arith.trial_division(n, bound))
+            == result_to_dict(ref_trial_division(n, bound)))
+
+
+def _segments_built(n, bound):
+    arith._segment.cache_clear()
+    result = arith.trial_division(n, bound)
+    return result, arith._segment.cache_info().misses
+
+
+def test_trial_division_visits_segments_only_up_to_the_limit_or_hit():
+    # a bound of 10^15 sieves nothing up to the bound: a hit stops at its
+    # own segment, and an exhausted screen stops at isqrt(n)
+    rng = random.Random(24)
+    q = random_prime(rng, 200)
+    p, s = sorted(random_prime(rng, 20) for _ in range(2))
+    r = random_prime(rng, 40)
+    assert p < s
+    start = time.process_time()
+    result, built = _segments_built(3 * q, 10 ** 15)
+    assert (result.factors, result.ops, built) == ((3, q), 2, 1)
+    result, built = _segments_built(p * s, 10 ** 15)
+    assert (result.factors, result.ops) == ((p, s), (p + 1) // 2)
+    assert built == p // _W + 1
+    result, built = _segments_built(r, 10 ** 15)
+    assert result.status == "Exhausted"
+    assert result.ops == 1 + (math.isqrt(r) - 1) // 2
+    assert built == math.isqrt(r) // _W + 1
+    assert time.process_time() - start < 1.0
+
+
 def test_pollard_pm1_splits_staged():
     # 253: 11 - 1 = 10 divides the staged exponent before 23 - 1 = 22 does
     r = arith.pollard_pm1(253, 11)
@@ -177,6 +263,12 @@ def test_small_primes():
     assert arith.small_primes(1) == []
 
 
+def test_prime_product_matches_small_primes():
+    for limit in (-1, 0, 1, 2, 1000, _W - 1, _W, _W + 3, 1 << 16, 70_000):
+        assert arith.prime_product(limit) == math.prod(
+            arith.small_primes(limit))
+
+
 def test_small_primes_cached_but_fresh():
     first = arith.small_primes(1 << 16)
     assert len(first) == 6542 and first[-1] == 65521
@@ -205,16 +297,21 @@ def test_powmod_edge_rows(n):
             assert arith._powmod(x, e, n) == pow(x, e, n), (x, e)
 
 
+class _StandInGmp:
+    """A stand-in library whose every function records its own name."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        return lambda *args: self.calls.append(name)
+
+
 def test_gmp_kernel_checks_arguments_before_calling_gmp():
     # GMP aborts the process on a zero modulus, so the kernel must refuse
     # bad arguments itself; a stand-in library records what it is asked
     calls = []
-
-    class StandIn:
-        def __getattr__(self, name):
-            return lambda *args: calls.append(name)
-
-    kernel = arith._gmp_powmod(StandIn())
+    kernel = arith._gmp_powmod(_StandInGmp(calls))
     assert calls == ["__gmpz_init"] * 3
     for x, e, n in [(2, 3, 0), (2, 3, 1), (2, 3, 2), (2, 3, -7), (2, -1, 7),
                     (-1, 3, 7)]:
@@ -233,7 +330,54 @@ def _refuse_to_load(path):
 @pytest.mark.parametrize("found, cdll", [(None, None),
                                          ("libgmp.so.10", _refuse_to_load)])
 def test_powmod_loader_falls_back_to_builtin_pow(monkeypatch, found, cdll):
-    monkeypatch.setattr(arith.ctypes.util, "find_library", lambda name: found)
+    monkeypatch.setattr(arith, "_gmp_names",
+                        lambda: iter([] if found is None else [found]))
     if cdll is not None:
         monkeypatch.setattr(arith.ctypes, "CDLL", cdll)
     assert arith._load_powmod() is pow
+
+
+def test_powmod_loader_takes_the_first_name_that_loads(monkeypatch):
+    tried = []
+
+    def load(name):
+        tried.append(name)
+        if name != "libgmp.so":
+            _refuse_to_load(name)
+        return _StandInGmp([])
+
+    monkeypatch.setattr(arith, "_gmp_names",
+                        lambda: iter(["libgmp.so.10", "libgmp.so", "later"]))
+    monkeypatch.setattr(arith.ctypes, "CDLL", load)
+    assert arith._load_powmod().library == "libgmp.so"
+    assert tried == ["libgmp.so.10", "libgmp.so"]
+
+
+def test_gmp_names_ask_find_library_only_after_the_sonames(monkeypatch):
+    asked = []
+    monkeypatch.setattr(ctypes.util, "find_library",
+                        lambda name: asked.append(name) or "libgmp-found.so")
+    names = arith._gmp_names()
+    assert [next(names) for _ in range(3)] == ["libgmp.so.10", "libgmp.so",
+                                               "libgmp.dylib"]
+    assert asked == []
+    assert list(names) == ["libgmp-found.so"] and asked == ["gmp"]
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
+    assert list(arith._gmp_names())[3:] == []
+
+
+def test_import_loads_ctypes_util_only_without_a_soname():
+    # a fresh interpreter: ctypes.util comes in only when find_library is
+    # needed, which is when no soname loaded
+    code = ("import sys, sparsefactor.cli; "
+            "from sparsefactor.arith import _powmod; "
+            "print(getattr(_powmod, 'library', None), "
+            "'ctypes.util' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(arith.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True,
+                         timeout=60).stdout.split()
+    sonames = ("libgmp.so.10", "libgmp.so", "libgmp.dylib")
+    assert out[0] == getattr(arith._powmod, "library", "None")
+    assert out[1] == str(out[0] not in sonames)

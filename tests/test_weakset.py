@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_prime, random_semiprime
-from reference import ref_audit_known
+from reference import ref_audit_known, ref_smooth_part
 from sparsefactor import weakset
 from sparsefactor.arith import iroot, is_probable_prime, small_primes
 from sparsefactor.expansions import naf, weight
@@ -312,3 +312,39 @@ def test_audit_known_matches_class_by_class_reference(case, k):
     budget = SearchBudget.default_for(n, k=k)
     assert (report_to_dict(audit(n, (p, q), budget))
             == report_to_dict(ref_audit_known(n, p, q, budget)))
+
+
+@st.composite
+def _smoothness_cases(draw):
+    """(m, bound): m of 32 to 512 bits, a product of primes <= bound, such a
+    product times one prime above it, or drawn at random."""
+    rng = draw(st.randoms(use_true_random=False))
+    bound = 1 << draw(st.integers(2, 16))
+    bits = draw(st.integers(32, 512))
+    kind = draw(st.sampled_from(["smooth", "one_above", "random"]))
+    if kind == "random":
+        return rng.getrandbits(bits) | 1 << (bits - 1), bound
+    primes = small_primes(bound)
+    m = 1 if kind == "smooth" else next(
+        p for p in small_primes(2 * bound + 2) if p > bound)
+    while m.bit_length() < bits:
+        m *= rng.choice(primes)
+    return m, bound
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=_smoothness_cases())
+def test_smooth_matches_the_division_loop(case):
+    m, bound = case
+    assert weakset._smooth(m, bound) == (
+        ref_smooth_part(m, small_primes(bound)) == 1)
+
+
+@pytest.mark.parametrize("bound", [4, 1 << 16])
+def test_smooth_on_prime_powers(bound):
+    # the primorial holds 2 and 3 once each, so 2^e needs its e-th power;
+    # 5 * 3^e is not 4-smooth
+    powers = [2 ** e for e in range(1, 513)] + [3 ** e for e in range(1, 324)]
+    for m in powers + [5 * m for m in powers]:
+        assert weakset._smooth(m, bound) == (
+            ref_smooth_part(m, small_primes(bound)) == 1), (m, bound)
