@@ -213,7 +213,8 @@ def _segment(j: int) -> tuple[tuple[int, ...], int]:
     """The primes in segment j, ascending, and their product.
 
     A sieve of Eratosthenes on the segment alone, by the primes up to the
-    square root of its end; for j >= 1 those lie in earlier segments.
+    square root of its end; for j >= 1 that root is below jW, so
+    small_primes reads them from earlier segments only.
     """
     lo, hi = j * _SEGMENT, (j + 1) * _SEGMENT
     flags = bytearray(b"\1") * _SEGMENT
@@ -222,8 +223,7 @@ def _segment(j: int) -> tuple[tuple[int, ...], int]:
         flags[:2] = b"\0\0"
         base = (p for p in range(2, root + 1) if flags[p])
     else:
-        base = itertools.takewhile(root.__ge__, itertools.chain.from_iterable(
-            _segment(i)[0] for i in range(root // _SEGMENT + 1)))
+        base = small_primes(root)
     for p in base:
         start = max(p * p, -(-lo // p) * p) - lo
         flags[start::p] = bytes(len(range(start, _SEGMENT, p)))
@@ -242,17 +242,9 @@ def _product(values: Iterable[int]) -> int:
     return values[0] if values else 1
 
 
-def small_primes(limit: int):
-    """Primes <= limit as Python ints (desk-scale helper).
-
-    Each call returns a fresh list; the primes themselves are cached per
-    limit.
-    """
-    return list(_primes_upto(limit))
-
-
 @lru_cache(maxsize=16)
-def _primes_upto(limit: int) -> tuple[int, ...]:
+def small_primes(limit: int) -> tuple[int, ...]:
+    """Primes <= limit, ascending, as one cached tuple per limit."""
     segments = (_segment(j)[0] for j in range(max(limit, 0) // _SEGMENT + 1))
     return tuple(itertools.takewhile(limit.__ge__,
                                      itertools.chain.from_iterable(segments)))
@@ -287,33 +279,15 @@ def z_count(n: int) -> int:
     return len(sols)
 
 
-def _least_divisor(g: int, primes: tuple[int, ...]) -> int:
-    """The least of the ascending primes that divides g, given that one does.
-
-    gcds with runs of doubling length find the run that holds it, then
-    gcds with halves of that run find it, so the cost grows with its
-    position, not with len(primes).
-    """
-    lo, hi = 0, 1
-    while math.gcd(g, math.prod(primes[lo:hi])) == 1:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if math.gcd(g, math.prod(primes[lo:mid])) > 1:
-            hi = mid
-        else:
-            lo = mid
-    return primes[lo]
-
-
 def trial_division(n: int, bound: int) -> FactorResult:
     """Trial division by 2, 3, 5, 7, 9, ... up to min(bound, isqrt(n)).
 
     `ops` counts those candidates up to the first divisor, which is n's
-    least prime factor d: (d + 1) // 2 of them.  The candidates are never
-    divided one by one: one gcd of n with the product of a prime segment
+    least prime factor d: (d + 1) // 2 of them.  n is never divided by the
+    candidates one by one: one gcd of n with the product of a prime segment
     finds whether d lies in it, segment by segment in order, and only the
-    segments up to the limit or the hit are built.
+    segments up to the limit or the hit are built.  d is then the first
+    prime of its segment that divides the gcd.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -324,7 +298,7 @@ def trial_division(n: int, bound: int) -> FactorResult:
         primes, product = _segment(j)
         g = math.gcd(n, product)
         if g > 1:
-            d = _least_divisor(g, primes)
+            d = next(p for p in primes if g % p == 0)
             if d > limit:
                 break
             cert = Certificate(METHOD_TRIAL_DIVISION, {"divisor": d})
@@ -446,6 +420,18 @@ def _batched_powers(x: int, n: int,
             yield steps, x
 
 
+@lru_cache(maxsize=16)
+def _stages(bound: int) -> tuple[int, ...]:
+    """p-1's stage exponents: the largest power <= bound of each prime."""
+    stages = []
+    for p in small_primes(bound):
+        pe = p
+        while pe * p <= bound:
+            pe *= p
+        stages.append(pe)
+    return tuple(stages)
+
+
 def pollard_pm1(n: int, smoothness_bound: int, t: int = 2,
                 op_cap: Optional[int] = None) -> FactorResult:
     """Stage-wise p-1 method: exponent = product of prime powers <= bound.
@@ -459,12 +445,7 @@ def pollard_pm1(n: int, smoothness_bound: int, t: int = 2,
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    stages = []
-    for p in small_primes(smoothness_bound):
-        pe = p
-        while pe * p <= smoothness_bound:
-            pe *= p
-        stages.append(pe)
+    stages = _stages(smoothness_bound)
     ops = 0
     base = t
     for _ in range(8):

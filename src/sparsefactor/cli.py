@@ -17,7 +17,8 @@ from typing import Optional
 
 from . import weakset
 from .arith import is_probable_prime, pollard_pm1, preamble, trial_division
-from .fermat import bsgs_fermat, classic_fermat, extended_fermat_sparse
+from .fermat import (BSGS_LIMIT, bsgs_fermat, classic_fermat,
+                     extended_fermat_sparse)
 from .model import (
     FactorResult,
     GenerationError,
@@ -141,7 +142,7 @@ def _auto_cascade(n: int, budget: SearchBudget, args) -> FactorResult:
     result = extended_fermat_sparse(n, quick)
     if result.factored:
         return result
-    if n < 1 << 56:
+    if n < BSGS_LIMIT:
         result = _bsgs_with_retries(n, budget.seed)
         if result.factored:
             return result
@@ -244,8 +245,11 @@ def cmd_generate(args) -> int:
             lines.append(CorpusRecord(n, p, q, args.weak_class).to_line())
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -52,6 +52,17 @@ def value_of(s: SparseInt) -> int:
     return sum(sign << exp for sign, exp in s.terms)
 
 
+def digits(n: int) -> list[list[int]]:
+    """n's NAF as the [sign, exponent] pairs a certificate records."""
+    return [[s, e] for s, e in naf(n).terms]
+
+
+def from_digits(pairs) -> int:
+    """The value of recorded [sign, exponent] pairs, checked as a SparseInt
+    (ValueError unless they are a valid sparse form)."""
+    return value_of(SparseInt(tuple((s, e) for s, e in pairs)))
+
+
 def naf(n: int) -> SparseInt:
     """The nonadjacent form of n (empty for 0)."""
     terms = []

@@ -147,10 +147,9 @@ def extended_fermat_sparse(n: int, budget: SearchBudget) -> FactorResult:
         ops += used
         if hit is not None:
             t, x, y = hit
-            digits = [[s, e] for s, e in expansions.naf(a_val).terms]
             cert = Certificate(METHOD_EXTENDED_FERMAT_SPARSE,
-                               {"a": a_val, "digits": digits, "t": t,
-                                "x": x, "y": y, "index": idx})
+                               {"a": a_val, "digits": expansions.digits(a_val),
+                                "t": t, "x": x, "y": y, "index": idx})
             return factored((x - y) // 2, (x + y) // 2, cert, ops)
         if capped:
             break
@@ -180,6 +179,9 @@ def balanced_window(n: int) -> tuple[int, int]:
 
 # Widest default window: keeps the baby table at most 2^20 entries.
 _WIDTH_CAP = 1 << 40
+# The cascade and the blind audit run BSGS on N below this, uncapped: the
+# baby table stays desk-sized.
+BSGS_LIMIT = 1 << 56
 
 
 def _capped_steps(room: int) -> tuple[int, int]:

@@ -291,8 +291,7 @@ def _verify(n: int, cert: Certificate) -> bool:
             if base <= 0 or base + n // base + int(w["t"]) != x:
                 return False
         if "digits" in w:
-            a_val = expansions.value_of(expansions.SparseInt(
-                tuple((s, e) for s, e in w["digits"])))
+            a_val = expansions.from_digits(w["digits"])
             if "a" in w and a_val != int(w["a"]):
                 return False
         return True
@@ -340,11 +339,8 @@ def _verify_sparse_exponent(n: int, w: dict) -> bool:
     if kind == "grid":
         power = base % n
         for a_digits, b_digits in w["trace"]:
-            a_val = expansions.value_of(
-                expansions.SparseInt(tuple((s, e) for s, e in a_digits)))
-            b_val = expansions.value_of(
-                expansions.SparseInt(tuple((s, e) for s, e in b_digits)))
-            f = a_val * n + b_val
+            f = (expansions.from_digits(a_digits) * n
+                 + expansions.from_digits(b_digits))
             if f == 0:
                 return False
             power = pow(power, abs(f), n)

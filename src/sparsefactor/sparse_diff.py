@@ -155,11 +155,11 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
                     if hit is None:
                         continue
                     p, q, u = hit
-                    digits = [[s, e] for s, e in expansions.naf(a).terms]
                     cert = Certificate(
                         METHOD_SPARSE_DIFFERENCE,
-                        {"a": a, "digits": digits, "b": b, "sign_a": 1,
-                         "sign_bn": sign_bn, "u": u, "index": c * _CHUNK + i})
+                        {"a": a, "digits": expansions.digits(a), "b": b,
+                         "sign_a": 1, "sign_bn": sign_bn, "u": u,
+                         "index": c * _CHUNK + i})
                     return factored(p, q, cert, int(op))
             ops = min(ops + int(cost.sum()), cap)
     return exhausted(ops)

@@ -72,10 +72,6 @@ def unity_root_recovery(base: int, e_trace: Sequence[int],
     return None
 
 
-def _digits(value: int) -> list[list[int]]:
-    return [[s, e] for s, e in expansions.naf(value).terms]
-
-
 def _unity_split(n: int, base: int, factors: list[int], ops: int,
                  **extra) -> Optional[FactorResult]:
     """The unity-root split of T^E == 1 (mod N), E the product of factors."""
@@ -144,7 +140,8 @@ def _walk_base(n: int, base: int, budget: SearchBudget,
             cert = Certificate(
                 METHOD_SPARSE_EXPONENT,
                 {"kind": "grid",
-                 "trace": [[_digits(a), _digits(b)] for a, b, _ in taken],
+                 "trace": [[expansions.digits(a), expansions.digits(b)]
+                           for a, b, _ in taken],
                  "base": base, "gcd_side": side,
                  "exponent_bits": sum(f.bit_length() for _, _, f in taken)})
             return factored(min(d, n // d), max(d, n // d), cert, ops), ops

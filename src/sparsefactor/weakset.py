@@ -29,7 +29,7 @@ import numpy as np
 from . import fermat, sparse_diff
 from .arith import (iroot, is_probable_prime, pollard_pm1, prime_array,
                     prime_product, small_primes)
-from .expansions import naf, weight
+from .expansions import digits, weight
 from .model import (
     GenerationError,
     LowOrderBaseError,
@@ -318,8 +318,7 @@ def _in_g(n, p, q, k, s0, f0):
     wd = weight(q - p)
     if wd > k:
         return None
-    return {"difference": q - p, "weight": wd,
-            "digits": [[s, e] for s, e in naf(q - p).terms]}
+    return {"difference": q - p, "weight": wd, "digits": digits(q - p)}
 
 
 # The weak-class catalogue: letter -> (generator, membership test).
@@ -402,7 +401,7 @@ def _audit_blind(n, budget):
         lambda: fermat.extended_fermat_sparse(n, capped),
         lambda: pollard_pm1(n, default_smoothness_bound(n.bit_length())),
     ]
-    if n < 1 << 56:  # keep the baby-step table desk-sized
+    if n < fermat.BSGS_LIMIT:
         attempts.append(lambda: fermat.bsgs_fermat(n, 2))
     for run in attempts:
         try:

@@ -253,14 +253,30 @@ def test_pollard_pm1_op_cap_spans_restarts(n, bound, uncapped):
         assert r == full if cap >= uncapped else r.status == "Exhausted"
 
 
+def test_pollard_pm1_builds_its_stages_once_per_bound():
+    arith._stages.cache_clear()
+    for n in (10403, 8051, 10403):
+        arith.pollard_pm1(n, 1 << 16)
+    assert arith._stages.cache_info()[:2] == (2, 1)  # hits, misses
+    assert arith._stages(1 << 16)[:6] == (1 << 16, 3 ** 10, 5 ** 6, 7 ** 5,
+                                           11 ** 4, 13 ** 4)
+
+
 def test_pollard_pm1_rejects_even():
     with pytest.raises(ValueError):
         arith.pollard_pm1(100, 5)
 
 
 def test_small_primes():
-    assert arith.small_primes(20) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert arith.small_primes(1) == []
+    assert arith.small_primes(20) == (2, 3, 5, 7, 11, 13, 17, 19)
+    assert arith.small_primes(1) == ()
+
+
+def test_small_primes_match_the_numpy_sieve():
+    # past segment 2, whose sieving root isqrt(3W - 1) = 313 is prime
+    for limit in (2, 3, 181, _W - 1, _W, 3 * _W, 10 ** 6):
+        assert arith.small_primes(limit) == tuple(
+            arith.prime_array(limit).tolist()), limit
 
 
 def test_prime_product_matches_small_primes():
@@ -272,9 +288,12 @@ def test_prime_product_matches_small_primes():
 def test_small_primes_cached_but_fresh():
     first = arith.small_primes(1 << 16)
     assert len(first) == 6542 and first[-1] == 65521
-    first.append(0)  # callers own the list they get back
+    with pytest.raises(AttributeError):
+        first.append(0)  # the cached primes cannot be altered by a caller
+    with pytest.raises(TypeError):
+        first[-1] = 0
     assert arith.small_primes(1 << 16)[-1] == 65521
-    assert arith.small_primes(1 << 16) is not arith.small_primes(1 << 16)
+    assert arith.small_primes(1 << 16) is first
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -5,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsefactor import cli
 from sparsefactor.model import result_from_dict, verify_certificate
@@ -386,6 +391,9 @@ def test_main_reuses_one_parser_without_leaking_state(capsys):
     (["factor", "10403", "--method", "pm1", "--k", "2"], 64),
     # a composite stated factor (35 = 5 * 7)
     (["audit", "--in", "{composite}"], 66),
+    # an --out path that cannot be written: a missing directory, a directory
+    (["generate", "--class", "g", "--bits", "32", "--out", "{missing}"], 64),
+    (["generate", "--class", "g", "--bits", "32", "--out", "{directory}"], 64),
 ])
 def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     records = {"corpus": "10403,101,103\n9\n",  # N = 9 is below the auditor's 15
@@ -397,6 +405,8 @@ def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     for name, text in records.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)
+    paths["missing"] = tmp_path / "absent" / "out.txt"
+    paths["directory"] = tmp_path
     argv = [a.format(**paths) for a in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code
@@ -406,6 +416,108 @@ def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
     if "--multipliers" in argv:
         # the budget names the bad field, not an isqrt() failure deep inside
         assert "multiplier" in err
+
+
+# Argv fuzzing: a subcommand, then flags of all four subcommands, each
+# with a value from its valid, boundary or malformed pool.  Every pool
+# keeps a run short: N below 2^40, --budget at most 2,000 (every factor
+# run gets one), --bits at most 64, --count at most 2, --xmax at most
+# 10^5.  {name} is a path of the fuzz_paths fixture.
+_FUZZ_VALUES = {
+    "--method": (list(cli.ENGINES), [], ["bogus", ""]),
+    "--form": (["mersenne:5", "fermat:4"], ["mersenne:0", "fermat:100"],
+               ["mersenne:x", "cubic:3", ""]),
+    "--trials": (["1", "3"], ["0", "-1"], ["x", "1.5"]),
+    "--json": None,
+    "--workers": (["1", "2"], ["0", "-3"], ["x"]),
+    "--k": (["2", "3", "6"], ["0", "1", "-1"], ["x"]),
+    "--vmax": (["12", "32", "64"], ["0", "1", "-1"], ["x"]),
+    "--tmax": (["8", "4096"], ["0", "-5"], ["x"]),
+    "--budget": (["50", "2000"], ["0", "1", "-1"], ["x"]),
+    "--multipliers": (["1", "1,2,4,8", "3"], ["0", "-1"], ["1,,2", "a", ""]),
+    "--seed": (["0", "7"], ["-1"], ["x"]),
+    "--class": (["a", "b", "c", "d", "f", "g"], [], ["e", ""]),
+    "--bits": (["32", "48", "64"], ["0", "2", "8", "16", "-8"], ["x"]),
+    "--count": (["1", "2"], ["0", "-1"], ["x"]),
+    "--out": (["{fresh}"], ["{missing}", "{directory}"], [""]),
+    "--format": (["text", "jsonl"], [], ["xml"]),
+    "--in": (["{good}", "{blind}"], ["{empty}", "{missing}", "{directory}"],
+             ["{malformed}", ""]),
+    "--kind": (["fermat", "romanoff"], [], ["primes"]),
+    "--xmax": (["10000", "100000"], ["1", "9999", "0", "-1"], ["x"]),
+    # factor's N
+    "N": (["10403", "8051", "10007", "3145719", "1099503239183",
+           "1099511627689", "0x3fffffffff"], ["1", "2", "3", "4", "9"],
+          ["0", "-15", "x", "0x", "1e5", ""]),
+}
+_FUZZ_COMMANDS = {
+    "factor": ["--method", "--form", "--trials", "--json", "--workers", "--k",
+               "--vmax", "--tmax", "--multipliers", "--seed"],
+    "generate": ["--count", "--out", "--format", "--k", "--vmax", "--seed"],
+    "audit": ["--json", "--k", "--seed"],
+    "density": ["--xmax"],
+}
+_FUZZ_REQUIRED = {"factor": ["N", "--budget"],
+                  "generate": ["--class", "--bits"], "audit": ["--in"],
+                  "density": ["--kind"]}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    # the required flags nearly always, each optional one a third of the
+    # time, and at times a flag of any subcommand, which this one may not take
+    flags = [f for f in _FUZZ_REQUIRED[command] if draw(st.integers(0, 9))]
+    flags += [f for f in _FUZZ_COMMANDS[command]
+              if not draw(st.integers(0, 2))]
+    if not draw(st.integers(0, 4)):
+        flags.append(draw(st.sampled_from(sorted(_FUZZ_VALUES))))
+    if command == "factor" and "--budget" not in flags:
+        flags.append("--budget")
+    pairs = []
+    for flag in dict.fromkeys(flags):
+        if _FUZZ_VALUES[flag] is None:
+            pairs.append([flag])
+            continue
+        valid, boundary, malformed = _FUZZ_VALUES[flag]
+        pool = draw(st.sampled_from([valid] * 3 + [boundary or valid,
+                                                   malformed]))
+        value = draw(st.sampled_from(pool))
+        pairs.append([value] if flag == "N" else [flag, value])
+    return [command, *itertools.chain.from_iterable(
+        draw(st.permutations(pairs)))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    records = {"good": "10403,101,103\n", "blind": "10403\n",
+               "malformed": "10403,101\n", "empty": ""}
+    paths = {"fresh": root / "out.txt", "missing": root / "absent" / "x",
+             "directory": root}
+    for name, text in records.items():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text(text)
+    return paths
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(argv=_fuzz_argv())
+@example(argv=["generate", "--class", "g", "--bits", "32", "--out",
+               "{missing}"])
+@example(argv=["generate", "--class", "g", "--bits", "32", "--out",
+               "{directory}"])
+def test_fuzzed_argv_exits_cleanly(argv, fuzz_paths):
+    argv = [a.format(**fuzz_paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # nothing may escape
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 64, 66), (argv, code)
+    assert "Traceback" not in err
+    if code in (64, 66):
+        # argparse's own errors print a usage block first
+        assert out == "" and "error: " in err.splitlines()[-1], (argv, err)
 
 
 @pytest.mark.parametrize("vmax, code", [("0", 1), ("1", 0)])

@@ -53,6 +53,35 @@ def test_verify_malformed_never_raises():
         verify_certificate(1, bad[0])
 
 
+def test_verify_rejects_digits_that_are_not_a_sparse_form():
+    # the reference fixture's certificate and Germain 253's grid trace,
+    # then the same digit values, 1724 and 5, written as no sparse form:
+    # exponents ascending, one repeated, a sign of 2, a digit of 3 fields
+    def sparse(digits):
+        return Certificate("ExtendedFermatSparse",
+                           {"a": 1724, "digits": digits, "index": 2903,
+                            "t": 339, "x": 44509024, "y": 13703610})
+
+    def grid(last):
+        steps = [[[1, 1]], [[-1, 1]], [[1, 2]], [[-1, 2]], [[1, 2], [-1, 0]],
+                 [[-1, 2], [1, 0]], last]
+        return Certificate("SparseExponent",
+                           {"kind": "grid", "base": 2, "gcd_side": -1,
+                            "trace": [[[], b] for b in steps]})
+
+    assert verify_certificate(448316072600119,
+                              sparse([[1, 11], [-1, 8], [-1, 6], [-1, 2]]))
+    assert verify_certificate(253, grid([[1, 2], [1, 0]]))
+    for digits in ([[-1, 2], [-1, 6], [-1, 8], [1, 11]],
+                   [[1, 11], [-1, 8], [-1, 6], [-1, 1], [-1, 1]],
+                   [[2, 10], [-1, 8], [-1, 6], [-1, 2]],
+                   [[1, 11, 0], [-1, 8], [-1, 6], [-1, 2]]):
+        assert verify_certificate(448316072600119, sparse(digits)) is False
+    for last in ([[1, 0], [1, 2]], [[1, 1], [1, 1], [1, 0]], [[2, 1], [1, 0]],
+                 [[1, 2, 0], [1, 0]]):
+        assert verify_certificate(253, grid(last)) is False
+
+
 def test_verify_offset_witness_checks_anchor():
     good = Certificate("ExtendedFermatOffset",
                        {"a": 0, "t": 0, "x": 204, "y": 2})
