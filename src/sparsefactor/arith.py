@@ -11,6 +11,8 @@ import itertools
 import math
 import random
 import threading
+from array import array
+from bisect import bisect_left
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -76,6 +78,11 @@ _RESIDUE_TABLES = tuple(map(_residue_tables, _SIEVE_MODULI))
 # The same flags as bytes, for one lookup per modulus on a Python int.
 _IS_SQUARE_4032, _IS_SQUARE_715 = (flags.tobytes()
                                    for _, flags in _RESIDUE_TABLES)
+# entry i of term m: i times the e = 1 modulo m and 0 modulo the other
+# modulus, reduced modulo SIEVE_MODULUS (the CRT)
+_CRT_TERMS = tuple(
+    (np.arange(m) * (SIEVE_MODULUS // m * pow(SIEVE_MODULUS // m, -1, m))
+     % SIEVE_MODULUS).astype(np.uintc) for m in _SIEVE_MODULI)
 
 
 def perfect_square(n: int):
@@ -95,11 +102,13 @@ class SquareSieve:
     Whether x^2 - c is a square modulo m depends only on x mod m, so one
     table per modulus of the filter above, 4032 and 715, repeated out to
     m + SIEVE_BLOCK entries, answers it for SIEVE_BLOCK consecutive x as
-    one slice.  Since (-x)^2 = x^2, the same slice taken at -x0 mod m
-    covers x0, x0 - 1, ...  Like perfect_square the sieve never rejects a
-    true square: survivors still need the exact check, root().  Knuth,
-    TAOCP vol. 2, 4.5.4; McKee, "Speeding Fermat's factoring method", Math.
-    Comp. 68 (1999).
+    one slice (ascending), or for any x by its residues (values).  window
+    reads the sorted list of survivors modulo SIEVE_MODULUS, built from the
+    two tables by the CRT at its first call, so each run costs two bisects
+    and no numpy call.  Like perfect_square the sieve never rejects a true
+    square: survivors still need the exact check, root().  Knuth, TAOCP
+    vol. 2, 4.5.4; McKee, "Speeding Fermat's factoring method", Math. Comp.
+    68 (1999).
     """
 
     def __init__(self, c: int):
@@ -113,38 +122,56 @@ class SquareSieve:
             table[:] = period
             tables.append((m, table.ravel()))
         self._tables = tuple(tables)
-
-    def _run(self, x0: int, step: int, count: int) -> np.ndarray:
-        """Survival mask of x0 + step*j for j < count; step is +1 or -1."""
-        (m1, t1), (m2, t2) = self._tables
-        i, j = step * x0 % m1, step * x0 % m2
-        return t1[i:i + count] & t2[j:j + count]
+        self._survivors = None
 
     def ascending(self, x0: int, count: int) -> np.ndarray:
         """Ascending j < count (at most SIEVE_BLOCK) where x0 + j survives."""
-        return np.flatnonzero(self._run(x0, 1, count))
-
-    def zigzag(self, x0: int, r0: int, rows: int) -> np.ndarray:
-        """Ascending i < 2*rows where the i-th element survives in the order
-        x0 - r0, x0 + r0 + 1, x0 - r0 - 1, x0 + r0 + 2, ...
-
-        With r0 = 0 this is x0, x0 + 1, x0 - 1, x0 + 2, ...: element 2j is
-        x0 - r0 - j and element 2j + 1 is x0 + r0 + 1 + j.  rows is at most
-        SIEVE_BLOCK.
-        """
-        ok = np.empty(2 * rows, dtype=bool)
-        ok[0::2] = self._run(x0 - r0, -1, rows)
-        ok[1::2] = self._run(x0 + r0 + 1, 1, rows)
-        return np.flatnonzero(ok)
-
-    def values(self, x_mod: np.ndarray) -> np.ndarray:
-        """Survival mask of x, given x_mod congruent to x mod SIEVE_MODULUS."""
         (m1, t1), (m2, t2) = self._tables
-        return t1[x_mod % m1] & t2[x_mod % m2]
+        i, j = x0 % m1, x0 % m2
+        return np.flatnonzero(t1[i:i + count] & t2[j:j + count])
+
+    def window(self, lo: int, count: int) -> list[int]:
+        """Ascending x in [lo, lo + count) that survive; count is at most
+        SIEVE_MODULUS."""
+        if self._survivors is None:
+            self._survivors = self._crt_survivors()
+        rs, m = self._survivors, SIEVE_MODULUS
+        r = lo % m
+        base, i = lo - r, bisect_left(rs, r)
+        if r + count <= m:
+            return [base + s for s in rs[i:bisect_left(rs, r + count, i)]]
+        return ([base + s for s in rs[i:]]
+                + [base + m + s for s in rs[:bisect_left(rs, r + count - m)]])
+
+    def _crt_survivors(self) -> array:
+        """The residues modulo SIEVE_MODULUS that survive, ascending: the
+        sums of a survivor's CRT terms modulo 4032 and 715, reduced."""
+        (m1, t1), (m2, t2) = self._tables
+        r = np.add.outer(_CRT_TERMS[0][t1[:m1]], _CRT_TERMS[1][t2[:m2]]).ravel()
+        # r < 2 * SIEVE_MODULUS, and r - SIEVE_MODULUS wraps above r when
+        # r < SIEVE_MODULUS
+        np.minimum(r, r - np.uintc(SIEVE_MODULUS), out=r)
+        r.sort()
+        return array("I", r.tobytes())
+
+    def values(self, residues: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Survival mask of x, given sieve_residues of x."""
+        (_, t1), (_, t2) = self._tables
+        return t1.take(residues[0]) & t2.take(residues[1])
 
     def root(self, x: int):
-        """Exact y with y*y == x*x - c, or None."""
-        return perfect_square(x * x - self.c)
+        """Exact y with y*y == x*x - c, or None.  For survivors: the
+        residue test is the sieve's own, so none is repeated here."""
+        d = x * x - self.c
+        if d < 0:
+            return None
+        y = math.isqrt(d)
+        return y if y * y == d else None
+
+
+def sieve_residues(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x mod 4032 and x mod 715 as uint16, for SquareSieve.values."""
+    return tuple((x % m).astype(np.uint16) for m in _SIEVE_MODULI)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -213,8 +240,10 @@ def _segment(j: int) -> tuple[tuple[int, ...], int]:
     """The primes in segment j, ascending, and their product.
 
     A sieve of Eratosthenes on the segment alone, by the primes up to the
-    square root of its end; for j >= 1 that root is below jW, so
-    small_primes reads them from earlier segments only.
+    square root of its end.  For j >= 1 that root is below jW, and for
+    j < W below W, so segment 0 holds those primes; beyond it small_primes
+    reads them from earlier segments.  Taking them from segment 0 keeps a
+    trial division's segments out of small_primes' cache.
     """
     lo, hi = j * _SEGMENT, (j + 1) * _SEGMENT
     flags = bytearray(b"\1") * _SEGMENT
@@ -222,6 +251,8 @@ def _segment(j: int) -> tuple[tuple[int, ...], int]:
     if j == 0:
         flags[:2] = b"\0\0"
         base = (p for p in range(2, root + 1) if flags[p])
+    elif root < _SEGMENT:
+        base = itertools.takewhile(root.__ge__, _segment(0)[0])
     else:
         base = small_primes(root)
     for p in base:

@@ -225,7 +225,22 @@ def cmd_factor(args) -> int:
     return EXIT_EXHAUSTED
 
 
+def _check_out(path: str) -> None:
+    """Raise, before any record is generated, the ValueError that writing
+    path would end in: open it for append, which truncates nothing, and
+    remove the file again if the open made it."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}")
+    if not existed:
+        os.remove(path)
+
+
 def cmd_generate(args) -> int:
+    if args.out is not None:
+        _check_out(args.out)
     spec = weakset.WeakClassSpec(class_id=args.weak_class,
                                  k=3 if args.k is None else args.k,
                                  v_max=args.vmax)
@@ -244,7 +259,7 @@ def cmd_generate(args) -> int:
         else:
             lines.append(CorpusRecord(n, p, q, args.weak_class).to_line())
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

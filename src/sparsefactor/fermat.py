@@ -89,24 +89,31 @@ def _offset_scan(sieve, anchor, t_max, ops_allowed):
 
     Returns ((t, x, y), ops, capped).  Each probe counts as one op, whether
     the residue sieve or the exact check rejects it; ops is the position of
-    the hit, or the number of probes covered.
+    the hit, or the number of probes covered.  Probe 2d is anchor - d and
+    probe 2d - 1 is anchor + d.  Each block of probes reads its x from at
+    most two sieve windows and checks every survivor; a hit of the block
+    with the lowest probe wins.
     """
     total = 2 * t_max + 1
     end = max(0, min(total, ops_allowed))
-    pos = 0
-    while pos < end:
-        rows = min(SIEVE_BLOCK, (end - pos + 1) // 2)
-        for i in sieve.zigzag(anchor, pos // 2, rows):
-            probe = pos + int(i)
-            if probe >= end:
-                break
-            x = anchor + (probe + 1) // 2 if probe % 2 else anchor - probe // 2
-            if x < 2:
-                continue
+    for pos in range(0, end, 2 * SIEVE_BLOCK):
+        stop = min(pos + 2 * SIEVE_BLOCK, end)
+        # anchor - d for d0 <= d < down and anchor + d for d0 < d <= up
+        d0, down, up = pos // 2, (stop + 1) // 2, stop // 2
+        if d0:
+            xs = (sieve.window(anchor - down + 1, down - d0)
+                  + sieve.window(anchor + d0 + 1, up - d0))
+        else:
+            xs = sieve.window(anchor - down + 1, down + up)
+        hits = []
+        for x in xs:
             y = sieve.root(x)
             if y is not None and x - y > 2:
-                return (x - anchor, x, y), probe + 1, False
-        pos += 2 * rows
+                hits.append((2 * (anchor - x) if x <= anchor
+                             else 2 * (x - anchor) - 1, x, y))
+        if hits:
+            probe, x, y = min(hits)
+            return (x - anchor, x, y), probe + 1, False
     return None, end, end < total
 
 

@@ -4,19 +4,29 @@ If q - p (or p +- bq for a small multiplier b) is a sparse signed-binary
 integer a, then U^2 - aU - bN has an integer root whose gcd with N is a
 proper divisor.  The search takes a in canonical order and tests the sign
 patterns of the quadratic, one op per discriminant; its residue sieve reads
-int64 values congruent to a, and only survivors become Python ints.
+each value's residues modulo 4032 and 715, and only survivors become
+Python ints.  The residues do not depend on N, so the first chunks of each
+stream are reduced once per process.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from . import expansions
-from .arith import SIEVE_MODULUS, SquareSieve, isqrt_ceil, preamble
+from .arith import (
+    SIEVE_MODULUS,
+    SquareSieve,
+    isqrt_ceil,
+    preamble,
+    sieve_residues,
+)
 from .model import (
     Certificate,
     FactorResult,
@@ -72,42 +82,87 @@ def _residue_runs(w: int, v_max: int, below):
         yield e, lower, pow(2, e, SIEVE_MODULUS) + sym[mid - size:mid + size]
 
 
-def _chunks(k: int, v_max: int, a_min: int):
-    """(a_mod, wide, offsets, pieces) per _CHUNK values of the stream: their
-    residues (_residue_runs) and whether each is >= a_min, in one sieve call
-    however short the runs.  From offsets[r] on, with pieces[r] = (e, lower,
-    mid), position i holds 2^e - lower[mid - 1 - i] below mid and 2^e +
-    lower[i - mid] from mid on, or 2^(e + i - mid) if lower is empty.
+def _stream_chunks(k: int, v_max: int, start: int = 0):
+    """(residues, offsets, pieces) per _CHUNK values of the stream, from
+    chunk start on: their sieve_residues, and where each run piece starts.
+    From offsets[r] on, with pieces[r] = (e, lower, mid), position i holds
+    2^e - lower[mid - 1 - i] below mid and 2^e + lower[i - mid] from mid
+    on, or 2^(e + i - mid) if lower is empty.
     """
     parts, offsets, pieces, fill = [], [], [], 0
-    wide = np.zeros(_CHUNK, dtype=bool)
     top, below = expansions._max_weight(k, v_max), None
     for w in range(1, top + 1):
         done = []  # this level's residue runs, which grow the next level's
         for e, lower, res in _residue_runs(w, v_max, below):
             if 1 < w < top:
                 done.append(res)
-            # the run ascends: bisects on lower find its first a >= a_min
-            size, j, lead = len(lower), 0, 1 << e
-            split = (size - bisect_right(lower, lead - a_min, 0, size)
-                     + bisect_left(lower, a_min - lead, 0, size) if lower
-                     else (a_min - 1).bit_length() - e)
+            size, j = len(lower), 0
             while j < len(res):
                 part = res[j:j + _CHUNK - fill]
                 parts.append(part)
                 offsets.append(fill)
                 pieces.append((e, lower, fill - j + size))
-                if split < j + len(part):
-                    wide[fill + max(split - j, 0):fill + len(part)] = True
                 fill, j = fill + len(part), j + len(part)
                 if fill == _CHUNK:
-                    yield np.concatenate(parts), wide, offsets, pieces
+                    if start:
+                        start -= 1
+                    else:
+                        yield (sieve_residues(np.concatenate(parts)),
+                               offsets, pieces)
                     parts, offsets, pieces, fill = [], [], [], 0
-                    wide = np.zeros(_CHUNK, dtype=bool)
         below = iter(done) if w > 1 else (
             [pow(2, e, SIEVE_MODULUS)] for e in range(v_max + 1))
-    if parts:
-        yield np.concatenate(parts), wide[:fill], offsets, pieces
+    if parts and not start:
+        yield sieve_residues(np.concatenate(parts)), offsets, pieces
+
+
+# The first _KEPT_CHUNKS chunks of each of the last _KEPT_STREAMS (k, v_max)
+# streams are kept, so all multipliers and all N share one reduction of them.
+# Sized from the benchmark plans: factor_auto scans at most 12 streams, and
+# the deepest scan, audit_blind's at its 200,000-op cap, reads 50 chunks.
+_KEPT_CHUNKS = 64
+_KEPT_STREAMS = 16
+_KEPT_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=_KEPT_STREAMS)
+def _kept(k: int, v_max: int) -> list:
+    """The kept chunks of a stream, as far as scans have read it."""
+    return []
+
+
+def _chunks(k: int, v_max: int):
+    """The chunks of _stream_chunks: the kept ones, then a build from the
+    first chunk not kept, whose chunks are kept up to _KEPT_CHUNKS.  The
+    build ends with the scan, so a stream keeps finished chunks only."""
+    kept = _kept(k, v_max)
+    c = 0
+    while c < len(kept):
+        yield kept[c]
+        c += 1
+    for chunk in _stream_chunks(k, v_max, c):
+        if c < _KEPT_CHUNKS:
+            with _KEPT_LOCK:
+                if c == len(kept):
+                    kept.append(chunk)
+        yield chunk
+        c += 1
+
+
+def _wide(offsets, pieces, length: int, a_min: int) -> np.ndarray:
+    """Whether each of a chunk's values is >= a_min.  Each run ascends, so
+    bisects on its lower find its first such value.  lower may have grown
+    since the run, by larger values only, and they move that first
+    position only to before or past the whole run."""
+    wide = np.zeros(length, dtype=bool)
+    for start, stop, (e, lower, mid) in zip(
+            offsets, offsets[1:] + [length], pieces):
+        lead = 1 << e
+        first = (mid - bisect_right(lower, lead - a_min)
+                 + bisect_left(lower, a_min - lead) if lower
+                 else mid + (a_min - 1).bit_length() - e)
+        wide[max(start, first):stop] = True
+    return wide
 
 
 def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
@@ -127,25 +182,30 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
         below = SquareSieve(four_bn)    # a^2 - 4bN, sign_bn = +1
         above = SquareSieve(-four_bn)   # a^2 + 4bN, sign_bn = -1
         a_min = isqrt_ceil(four_bn)     # a^2 >= 4bN  <=>  a >= a_min
-        chunks = _chunks(budget.k, budget.v_max, a_min)
-        for c, (a_mod, wide, offsets, pieces) in enumerate(chunks):
+        chunks = _chunks(budget.k, budget.v_max)
+        for c, (residues, offsets, pieces) in enumerate(chunks):
             if ops >= cap:
                 return exhausted(ops)
             # every value costs at least two ops: sieve none past the cap
             # (a chunk cut short here is the last before the cap)
-            keep = (cap - ops + 1) // 2
-            a_mod, wide = a_mod[:keep], wide[:keep]
+            keep = min((cap - ops + 1) // 2, len(residues[0]))
+            residues = residues[0][:keep], residues[1][:keep]
+            wide = _wide(offsets, pieces, keep, a_min)
             cost = np.where(wide, 4, 2)
             first_op = ops + np.cumsum(cost) - cost + 1
-            minus = below.values(a_mod) & wide
-            plus = above.values(a_mod)
-            for i in np.flatnonzero(minus | plus).tolist():
+            minus = below.values(residues) & wide
+            plus = above.values(residues)
+            survivors = np.flatnonzero(minus | plus)
+            for i, first, w, m_ok, p_ok in zip(
+                    survivors.tolist(), first_op[survivors].tolist(),
+                    wide[survivors].tolist(), minus[survivors].tolist(),
+                    plus[survivors].tolist()):
                 e, low, mid = pieces[bisect_right(offsets, i) - 1]
                 a = (1 << e + i - mid if not low else (1 << e) + low[i - mid]
                      if i >= mid else (1 << e) - low[mid - 1 - i])
                 for sieve, sign_bn, op, passed in (
-                        (below, 1, first_op[i], minus[i]),
-                        (above, -1, first_op[i] + wide[i], plus[i])):
+                        (below, 1, first, m_ok),
+                        (above, -1, first + w, p_ok)):
                     if not passed:
                         continue
                     if op > cap:
@@ -160,6 +220,6 @@ def sparse_difference_factor(n: int, budget: SearchBudget) -> FactorResult:
                         {"a": a, "digits": expansions.digits(a), "b": b,
                          "sign_a": 1, "sign_bn": sign_bn, "u": u,
                          "index": c * _CHUNK + i})
-                    return factored(p, q, cert, int(op))
+                    return factored(p, q, cert, op)
             ops = min(ops + int(cost.sum()), cap)
     return exhausted(ops)

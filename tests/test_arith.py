@@ -296,6 +296,20 @@ def test_small_primes_cached_but_fresh():
     assert arith.small_primes(1 << 16) is first
 
 
+def test_trial_division_keeps_the_cached_prime_tables():
+    # the segments of a trial division to 10^6 sieve by primes below 2^15,
+    # read from segment 0, so they add no small limits to small_primes'
+    # cache and evict none of the limits in it
+    arith._segment.cache_clear()
+    arith.small_primes(1 << 16)
+    misses = arith.small_primes.cache_info().misses
+    r = arith.trial_division(999983 * 1000003, 10 ** 6)
+    assert r.factors == (999983, 1000003)  # in the last of 31 segments
+    assert arith.small_primes.cache_info().misses == misses
+    arith.small_primes(1 << 16)
+    assert arith.small_primes.cache_info().misses == misses
+
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(n_bits=st.integers(3, 600), odd=st.booleans(), above_n=st.booleans(),
        e_bits=st.integers(0, 12000), rng=st.randoms(use_true_random=False))

@@ -418,6 +418,51 @@ def test_misuse_exits_with_one_line_error(argv, code, tmp_path, capsys):
         assert "multiplier" in err
 
 
+@pytest.mark.parametrize("target", ["missing", "directory", "empty",
+                                    "file_parent"])
+def test_generate_reports_an_unwritable_out_before_generating(
+        target, tmp_path, capsys, monkeypatch):
+    def generate_weak(*args):
+        raise AssertionError("records generated for an unwritable --out")
+
+    monkeypatch.setattr(cli.weakset, "generate_weak", generate_weak)
+    (tmp_path / "file").write_text("kept\n")
+    path = {"missing": tmp_path / "absent" / "out.txt",
+            "directory": tmp_path, "empty": "",
+            "file_parent": tmp_path / "file" / "out.txt"}[target]
+    got, out, err = run_cli(capsys, "generate", "--class", "g", "--bits",
+                            "512", "--count", "20", "--out", str(path))
+    assert got == 64 and out == ""
+    assert err == f"error: cannot write {path}: " + {
+        "missing": "No such file or directory", "empty":
+        "No such file or directory", "directory": "Is a directory",
+        "file_parent": "Not a directory"}[target] + "\n"
+    assert not (tmp_path / "absent").exists()
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("target", ["fresh", "existing"])
+def test_generate_out_check_leaves_the_target_as_it_was(
+        target, tmp_path, capsys, monkeypatch):
+    # the --out check opens the target without truncating it, and removes
+    # a file it made, so a generation that fails leaves the target as it was
+    def generate_weak(*args):
+        raise cli.GenerationError("no instance")
+
+    monkeypatch.setattr(cli.weakset, "generate_weak", generate_weak)
+    path = tmp_path / "out.txt"
+    if target == "existing":
+        path.write_text("kept\n")
+    got, out, err = run_cli(capsys, "generate", "--class", "g", "--bits",
+                            "512", "--out", str(path))
+    assert got == cli.EXIT_EXHAUSTED and out == ""
+    assert err == "error: no instance\n"
+    if target == "existing":
+        assert path.read_text() == "kept\n"
+    else:
+        assert not path.exists()
+
+
 # Argv fuzzing: a subcommand, then flags of all four subcommands, each
 # with a value from its valid, boundary or malformed pool.  Every pool
 # keeps a run short: N below 2^40, --budget at most 2,000 (every factor

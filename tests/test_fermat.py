@@ -141,6 +141,20 @@ def test_extended_sparse_reference_counters():
     assert r.certificate.witness["t"] == 339
 
 
+def test_extended_sparse_reference_exact_checks(monkeypatch):
+    # the sieve's strength as a deterministic count: the reference fixture's
+    # scan hands 19,504 survivors to the exact square check (math.isqrt),
+    # beside one isqrt of N; a weaker filter hands it more (19,782
+    # perfect_square calls before the scan checked survivors itself)
+    calls = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    r = fermat.extended_fermat_sparse(EX_N, SearchBudget(k=5, v_max=12,
+                                                         t_max=1642))
+    assert r.ops == 9_435_198
+    assert len(calls) == 1 + 19_504
+
+
 def test_extended_sparse_small():
     r = fermat.extended_fermat_sparse(10403, SearchBudget(k=1, v_max=3, t_max=8))
     assert r.factors == (101, 103)

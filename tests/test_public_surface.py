@@ -27,7 +27,7 @@ _SURFACE = {
     "ENGINES.sparseexp": ["k", "vmax", "form", "trials"],
     "ENGINES.trial": [],
     "ENGINES.pm1": [],
-    "SquareSieve": ["ascending", "values", "zigzag", "root"],
+    "SquareSieve": ["ascending", "values", "window", "root"],
     "WeakClassSpec": ["class_id", "k", "v_max"],
     "CLASSES": ["a", "b", "c", "d", "f", "g"],
     "factor": ["-h", "--help", "--method", "--form", "--trials", "--json",
